@@ -729,7 +729,7 @@ fn trace_smoke(r: &Reporter, external: Option<&lightweb_telemetry::scrape::Scrap
         }
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.push(listener.local_addr().unwrap());
-        server.serve_tcp(listener).unwrap();
+        lightweb_reactor::serve(&server, listener).unwrap();
         handles.push(server);
     }
     let mut client = TwoServerZltp::connect(
@@ -1980,27 +1980,22 @@ fn load_experiment(r: &Reporter, quick: bool, out_dir: &std::path::Path) {
     }
 
     r.section(&format!(
-        "load: open-loop latency-under-load sweep ({} schedule, {} connections, {} s/rate, {} io)",
+        "load: open-loop latency-under-load sweep ({} schedule, {} connections, {} s/rate)",
         cfg.schedule.name(),
         cfg.connections,
-        cfg.duration_s,
-        cfg.io_model.name()
+        cfg.duration_s
     ));
     std::fs::create_dir_all(out_dir).expect("create --out directory");
     // Clean registry so the live load gauges and counters on /metrics
     // reflect this sweep alone.
     lightweb_telemetry::registry().reset();
 
-    // A real two-server deployment over TCP, in the load-test shape,
-    // served through the io model the sweep targets (threads or the
-    // epoll reactor; LIGHTWEB_IO_MODEL selects).
+    // A real two-server deployment over TCP, in the load-test shape.
     let blob_len = ServerConfig::load_test("load", 0).blob_len;
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for party in 0..2u8 {
-        let mut server_cfg = ServerConfig::load_test("load", party);
-        server_cfg.io_model = cfg.io_model;
-        let server = ZltpServer::new(server_cfg).unwrap();
+        let server = ZltpServer::new(ServerConfig::load_test("load", party)).unwrap();
         for i in 0..cfg.pages {
             server
                 .publish(&page_key(i), &bench_blob(i, blob_len))
@@ -2012,11 +2007,8 @@ fn load_experiment(r: &Reporter, quick: bool, out_dir: &std::path::Path) {
         servers.push(server);
     }
     r.note(&format!(
-        "two-server pair live at {} / {} ({} io model); offering {:?} req/s\n",
-        addrs[0],
-        addrs[1],
-        cfg.io_model.name(),
-        cfg.rates_rps
+        "two-server pair live at {} / {}; offering {:?} req/s\n",
+        addrs[0], addrs[1], cfg.rates_rps
     ));
 
     let points = match run_sweep(addrs[0], addrs[1], &cfg, blob_len) {
@@ -2093,19 +2085,17 @@ fn load_experiment(r: &Reporter, quick: bool, out_dir: &std::path::Path) {
 // churn — connection churn and idle-session reaping (lightweb-reactor).
 // Not a paper experiment: hammers the server with short-lived sessions
 // (connect → one private GET → close) to measure session setup/teardown
-// throughput, then — under the reactor io model — parks a fleet of
-// silent half-open sessions and measures how long the idle reaper takes
-// to evict them (LIGHTWEB_REACTOR_IDLE_TIMEOUT_MS; the slow-loris
+// throughput, then parks a fleet of silent half-open sessions and
+// measures how long the idle reaper takes to evict them (the slow-loris
 // defense a thread-per-connection server cannot mount without a parked
 // thread per victim).
 // =====================================================================
 
 fn churn_experiment(r: &Reporter, quick: bool) {
-    use lightweb_core::{encode_frame, IoModel, Message, PROTOCOL_VERSION};
+    use lightweb_core::{encode_frame, Message, PROTOCOL_VERSION};
     use lightweb_reactor::{serve_with, ReactorConfig};
     use std::io::{Read, Write};
 
-    let io_model = IoModel::from_env();
     let (waves, workers, sessions_per_worker, idle_sessions) = if quick {
         (3usize, 8usize, 4usize, 16usize)
     } else {
@@ -2116,19 +2106,12 @@ fn churn_experiment(r: &Reporter, quick: bool) {
     let sessions_per_worker = load_env_parse("LIGHTWEB_CHURN_SESSIONS", sessions_per_worker);
     let idle_sessions = load_env_parse("LIGHTWEB_CHURN_IDLE", idle_sessions);
 
-    // The experiment wants reaping observable in seconds, not minutes:
-    // honor LIGHTWEB_REACTOR_IDLE_TIMEOUT_MS but default it short here.
-    let mut rcfg = ReactorConfig::from_env();
-    if std::env::var("LIGHTWEB_REACTOR_IDLE_TIMEOUT_MS").is_err() {
-        rcfg.idle_timeout = Duration::from_millis(500);
-        rcfg.sweep_interval = Duration::from_millis(100);
-        rcfg.idle_mark = Duration::from_millis(50);
-    }
+    // The experiment wants reaping observable in seconds, not minutes.
+    let rcfg = ReactorConfig::with_idle_timeout(Duration::from_millis(500));
 
     r.section(&format!(
-        "churn: session churn & idle reaping ({} io, {waves} waves x {workers} workers x \
-         {sessions_per_worker} sessions, {idle_sessions} idle)",
-        io_model.name()
+        "churn: session churn & idle reaping ({waves} waves x {workers} workers x \
+         {sessions_per_worker} sessions, {idle_sessions} idle)"
     ));
     lightweb_telemetry::registry().reset();
 
@@ -2136,9 +2119,7 @@ fn churn_experiment(r: &Reporter, quick: bool) {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for party in 0..2u8 {
-        let mut cfg = ServerConfig::load_test("churn", party);
-        cfg.io_model = io_model;
-        let server = ZltpServer::new(cfg).unwrap();
+        let server = ZltpServer::new(ServerConfig::load_test("churn", party)).unwrap();
         for i in 0..8usize {
             server
                 .publish(&format!("churn/page-{i}"), &bench_blob(i, blob_len))
@@ -2216,96 +2197,91 @@ fn churn_experiment(r: &Reporter, quick: bool) {
     );
 
     // Phase 2: slow-loris fleet. Sessions complete the hello and go
-    // silent; only the reactor evicts them (the threads model would hold
-    // a parked thread per victim forever, which is the point).
-    if io_model == IoModel::Reactor {
-        let hello = encode_frame(
-            &Message::ClientHello {
-                version: PROTOCOL_VERSION,
-                modes: vec![Mode::TwoServerPir.to_wire()],
-            },
-            None,
-        )
-        .unwrap();
-        let loris_start = std::time::Instant::now();
-        let handles: Vec<_> = (0..idle_sessions)
-            .map(|_| {
-                let hello = hello.clone();
-                std::thread::spawn(move || -> Option<f64> {
-                    let mut stream = std::net::TcpStream::connect(addr0).ok()?;
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(30)))
-                        .ok()?;
-                    stream.write_all(&hello).ok()?;
-                    // Swallow the ServerHello, then go silent.
-                    let mut head = [0u8; 5];
-                    stream.read_exact(&mut head).ok()?;
-                    let len = u32::from_be_bytes(head[..4].try_into().unwrap()) as usize;
-                    let mut body = vec![0u8; len.checked_sub(1)?];
-                    stream.read_exact(&mut body).ok()?;
-                    let parked = std::time::Instant::now();
-                    let mut buf = [0u8; 8];
-                    match stream.read(&mut buf) {
-                        Ok(0) | Err(_) => Some(parked.elapsed().as_secs_f64() * 1e3),
-                        Ok(_) => None,
-                    }
-                })
+    // silent; the reactor's idle reaper must evict every one.
+    let hello = encode_frame(
+        &Message::ClientHello {
+            version: PROTOCOL_VERSION,
+            modes: vec![Mode::TwoServerPir.to_wire()],
+        },
+        None,
+    )
+    .unwrap();
+    let loris_start = std::time::Instant::now();
+    let handles: Vec<_> = (0..idle_sessions)
+        .map(|_| {
+            let hello = hello.clone();
+            std::thread::spawn(move || -> Option<f64> {
+                let mut stream = std::net::TcpStream::connect(addr0).ok()?;
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .ok()?;
+                stream.write_all(&hello).ok()?;
+                // Swallow the ServerHello, then go silent.
+                let mut head = [0u8; 5];
+                stream.read_exact(&mut head).ok()?;
+                let len = u32::from_be_bytes(head[..4].try_into().unwrap()) as usize;
+                let mut body = vec![0u8; len.checked_sub(1)?];
+                stream.read_exact(&mut body).ok()?;
+                let parked = std::time::Instant::now();
+                let mut buf = [0u8; 8];
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => Some(parked.elapsed().as_secs_f64() * 1e3),
+                    Ok(_) => None,
+                }
             })
-            .collect();
-        let mut reap_ms: Vec<f64> = handles
-            .into_iter()
-            .filter_map(|h| h.join().unwrap())
-            .collect();
-        reap_ms.sort_by(f64::total_cmp);
-        let wall_ms = loris_start.elapsed().as_secs_f64() * 1e3;
-        let snap = lightweb_telemetry::registry().snapshot();
-        let reaped = snap
-            .counters
-            .get("reactor.sessions.reaped")
-            .copied()
-            .unwrap_or(0);
-        r.table(
+        })
+        .collect();
+    let mut reap_ms: Vec<f64> = handles
+        .into_iter()
+        .filter_map(|h| h.join().unwrap())
+        .collect();
+    reap_ms.sort_by(f64::total_cmp);
+    let wall_ms = loris_start.elapsed().as_secs_f64() * 1e3;
+    let snap = lightweb_telemetry::registry().snapshot();
+    let reaped = snap
+        .counters
+        .get("reactor.sessions.reaped")
+        .copied()
+        .unwrap_or(0);
+    r.table(
+        &[
+            "idle sessions",
+            "reaped (EOF seen)",
+            "reaped (counter)",
+            "reap p50 (ms)",
+            "reap max (ms)",
+            "phase wall (ms)",
+        ],
+        &[vec![
+            idle_sessions.to_string(),
+            reap_ms.len().to_string(),
+            reaped.to_string(),
+            format!("{:.0}", percentile_exact(&reap_ms, 0.50)),
+            format!("{:.0}", reap_ms.last().copied().unwrap_or(0.0)),
+            format!("{:.0}", wall_ms),
+        ]],
+    );
+    if r.json {
+        events::emit(
+            "reproduce.churn.reap",
             &[
-                "idle sessions",
-                "reaped (EOF seen)",
-                "reaped (counter)",
-                "reap p50 (ms)",
-                "reap max (ms)",
-                "phase wall (ms)",
+                ("idle_sessions", Field::U64(idle_sessions as u64)),
+                ("reaped_eof", Field::U64(reap_ms.len() as u64)),
+                ("reaped_counter", Field::U64(reaped)),
+                ("reap_p50_ms", Field::F64(percentile_exact(&reap_ms, 0.50))),
+                (
+                    "idle_timeout_ms",
+                    Field::U64(rcfg.idle_timeout.as_millis() as u64),
+                ),
             ],
-            &[vec![
-                idle_sessions.to_string(),
-                reap_ms.len().to_string(),
-                reaped.to_string(),
-                format!("{:.0}", percentile_exact(&reap_ms, 0.50)),
-                format!("{:.0}", reap_ms.last().copied().unwrap_or(0.0)),
-                format!("{:.0}", wall_ms),
-            ]],
         );
-        if r.json {
-            events::emit(
-                "reproduce.churn.reap",
-                &[
-                    ("idle_sessions", Field::U64(idle_sessions as u64)),
-                    ("reaped_eof", Field::U64(reap_ms.len() as u64)),
-                    ("reaped_counter", Field::U64(reaped)),
-                    ("reap_p50_ms", Field::F64(percentile_exact(&reap_ms, 0.50))),
-                    (
-                        "idle_timeout_ms",
-                        Field::U64(rcfg.idle_timeout.as_millis() as u64),
-                    ),
-                ],
-            );
-        }
-        if reap_ms.len() < idle_sessions {
-            r.note(&format!(
-                "WARNING: only {}/{} idle sessions were reaped\n",
-                reap_ms.len(),
-                idle_sessions
-            ));
-        }
-    } else {
-        r.note("threads io model has no idle reaper; skipping the slow-loris phase (run with LIGHTWEB_IO_MODEL=reactor)\n");
+    }
+    if reap_ms.len() < idle_sessions {
+        r.note(&format!(
+            "WARNING: only {}/{} idle sessions were reaped\n",
+            reap_ms.len(),
+            idle_sessions
+        ));
     }
 
     for server in &servers {

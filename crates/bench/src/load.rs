@@ -29,7 +29,7 @@
 
 use crate::perf::{git_commit, git_describe, percentile_exact};
 use lightweb_browser::Pacer;
-use lightweb_core::{IoModel, TwoServerZltp, ZltpError};
+use lightweb_core::{TwoServerZltp, ZltpError};
 use lightweb_universe::{parse_json, Value};
 use lightweb_workload::openloop::{ArrivalProcess, OpenLoopPlan, PageSource, PlannedView};
 use lightweb_workload::Zipf;
@@ -43,9 +43,10 @@ use std::time::{Duration, Instant};
 /// Version stamp of the load snapshot schema. Bump when a field is
 /// added, removed, or changes meaning; parsers refuse unknown versions.
 ///
-/// v2: added `io_model` — which server io model (`threads` or
-/// `reactor`) the sweep ran against. Curves from different io models
-/// are not comparable and refuse to diff.
+/// v2: added `io_model`, when the server had a thread-per-connection
+/// front end beside the reactor. The reactor is now the only one, so the
+/// key is no longer written; [`LoadSnapshot::from_json`] still accepts
+/// `"reactor"` (checked-in baselines carry it) and refuses anything else.
 pub const LOAD_SCHEMA_VERSION: u64 = 2;
 
 /// The `kind` discriminator written into load snapshots (scalar bench
@@ -106,9 +107,6 @@ pub struct LoadConfig {
     pub io_timeout: Duration,
     /// Seed for arrival times and page choice.
     pub seed: u64,
-    /// Which server io model the sweep targets (stamped into the
-    /// snapshot; the harness configures the servers it spawns with it).
-    pub io_model: IoModel,
 }
 
 impl LoadConfig {
@@ -124,7 +122,6 @@ impl LoadConfig {
             zipf_exponent: 1.0,
             io_timeout: Duration::from_secs(5),
             seed: 0x10ad,
-            io_model: IoModel::from_env(),
         }
     }
 
@@ -140,7 +137,6 @@ impl LoadConfig {
             zipf_exponent: 1.0,
             io_timeout: Duration::from_secs(10),
             seed: 0x10ad,
-            io_model: IoModel::from_env(),
         }
     }
 }
@@ -301,8 +297,6 @@ pub struct LoadSnapshot {
     pub git_commit: String,
     /// Arrival schedule shape ([`ScheduleKind::name`]).
     pub schedule: String,
-    /// Server io model the sweep ran against ([`IoModel::name`]).
-    pub io_model: String,
     /// Fleet size the sweep ran with.
     pub connections: u64,
     /// Seconds each rate step offered load for.
@@ -333,7 +327,6 @@ impl LoadSnapshot {
             git_describe: git_describe().to_string(),
             git_commit: git_commit().to_string(),
             schedule: cfg.schedule.name().to_string(),
-            io_model: cfg.io_model.name().to_string(),
             connections: cfg.connections as u64,
             duration_seconds: cfg.duration_s,
             gets_per_page: cfg.gets_per_page as u64,
@@ -352,7 +345,6 @@ impl LoadSnapshot {
             ("git_describe", self.git_describe.as_str().into()),
             ("git_commit", self.git_commit.as_str().into()),
             ("schedule", self.schedule.as_str().into()),
-            ("io_model", self.io_model.as_str().into()),
             ("connections", (self.connections as i64).into()),
             ("duration_seconds", self.duration_seconds.into()),
             ("gets_per_page", (self.gets_per_page as i64).into()),
@@ -393,6 +385,13 @@ impl LoadSnapshot {
                 "snapshot kind {kind:?} is not {LOAD_SNAPSHOT_KIND:?}"
             ));
         }
+        if let Some(other) = v.get("io_model").filter(|m| m.as_str() != Some("reactor")) {
+            return Err(format!(
+                "snapshot was recorded under io_model {}; only the reactor exists now, \
+                 so its curve is not comparable",
+                other.to_json()
+            ));
+        }
         let points = v
             .get("points")
             .and_then(Value::as_array)
@@ -407,7 +406,6 @@ impl LoadSnapshot {
             git_describe: str_field("git_describe")?,
             git_commit: str_field("git_commit")?,
             schedule: str_field("schedule")?,
-            io_model: str_field("io_model")?,
             connections: num("connections")? as u64,
             duration_seconds: num("duration_seconds")?,
             gets_per_page: num("gets_per_page")? as u64,
@@ -470,12 +468,6 @@ pub fn compare_load_snapshots(
         return Err(format!(
             "schedule mismatch: {} vs {}",
             baseline.schedule, current.schedule
-        ));
-    }
-    if baseline.io_model != current.io_model {
-        return Err(format!(
-            "io model mismatch: {} vs {}",
-            baseline.io_model, current.io_model
         ));
     }
     if baseline.points.len() != current.points.len() {
@@ -840,16 +832,10 @@ mod tests {
     }
 
     fn sample() -> LoadSnapshot {
-        // Pin the io model: the fixture must not drift with the
-        // LIGHTWEB_IO_MODEL the test process happens to run under.
-        let cfg = LoadConfig {
-            io_model: IoModel::Threads,
-            ..LoadConfig::quick()
-        };
         LoadSnapshot::from_sweep(
             "load_two_server",
             "two_server_pir",
-            &cfg,
+            &LoadConfig::quick(),
             vec![point(50.0), point(100.0), point(200.0)],
         )
     }
@@ -860,7 +846,7 @@ mod tests {
         let text = snap.to_json();
         assert!(text.contains("\"kind\":\"load_curve\""), "{text}");
         assert!(text.contains("\"schema_version\":2"), "{text}");
-        assert!(text.contains("\"io_model\""), "{text}");
+        assert!(!text.contains("io_model"), "{text}");
         assert_eq!(LoadSnapshot::from_json(&text).unwrap(), snap);
     }
 
@@ -923,11 +909,20 @@ mod tests {
         assert!(compare_load_snapshots(&base, &paced, 0.0)
             .unwrap_err()
             .contains("schedule"));
-        let mut other_io = base.clone();
-        other_io.io_model = "reactor".into();
-        assert!(compare_load_snapshots(&base, &other_io, 0.0)
-            .unwrap_err()
-            .contains("io model"));
+    }
+
+    #[test]
+    fn io_model_key_is_tolerated_only_as_reactor() {
+        let snap = sample();
+        let with = |model: &str| {
+            snap.to_json()
+                .replacen('{', &format!("{{\"io_model\":{model},"), 1)
+        };
+        assert_eq!(LoadSnapshot::from_json(&with("\"reactor\"")).unwrap(), snap);
+        for bad in ["\"threads\"", "\"\"", "7"] {
+            let err = LoadSnapshot::from_json(&with(bad)).unwrap_err();
+            assert!(err.contains("io_model"), "{bad}: {err}");
+        }
     }
 
     #[test]

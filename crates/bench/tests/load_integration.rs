@@ -7,7 +7,7 @@ use lightweb_bench::load::{
     compare_load_snapshots, page_key, run_sweep, LoadConfig, LoadSnapshot, ScheduleKind,
 };
 use lightweb_bench::perf::{parse_any_snapshot, AnySnapshot};
-use lightweb_core::{IoModel, ServerConfig, ZltpServer};
+use lightweb_core::{ServerConfig, ZltpServer};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -48,7 +48,6 @@ fn live_sweep_exports_saturation_gauges_and_self_compares_clean() {
         zipf_exponent: 1.0,
         io_timeout: Duration::from_secs(10),
         seed: 7,
-        io_model: IoModel::Threads,
     };
     let blob_len = ServerConfig::load_test("load", 0).blob_len;
     let mut servers = Vec::new();
@@ -62,7 +61,7 @@ fn live_sweep_exports_saturation_gauges_and_self_compares_clean() {
         }
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.push(listener.local_addr().unwrap());
-        server.serve_tcp(listener).unwrap();
+        lightweb_reactor::serve(&server, listener).unwrap();
         servers.push(server);
     }
 

@@ -663,35 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_transport_end_to_end() {
-        let mut c0 = ServerConfig::small("tcp-universe", 0);
-        c0.blob_len = 64;
-        let mut c1 = ServerConfig::small("tcp-universe", 1);
-        c1.blob_len = 64;
-        let server0 = ZltpServer::new(c0).unwrap();
-        let server1 = ZltpServer::new(c1).unwrap();
-        server0.publish("k", &[8u8; 64]).unwrap();
-        server1.publish("k", &[8u8; 64]).unwrap();
-
-        let l0 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let a0 = l0.local_addr().unwrap();
-        let a1 = l1.local_addr().unwrap();
-        let _h0 = server0.serve_tcp(l0).unwrap();
-        let _h1 = server1.serve_tcp(l1).unwrap();
-
-        let mut client = TwoServerZltp::connect(
-            std::net::TcpStream::connect(a0).unwrap(),
-            std::net::TcpStream::connect(a1).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(client.private_get("k").unwrap(), vec![8u8; 64]);
-        client.close().unwrap();
-        server0.shutdown();
-        server1.shutdown();
-    }
-
-    #[test]
     fn content_update_is_visible_to_new_queries() {
         let (s0, s1) = pair(64);
         publish_both(&s0, &s1, "news/today", &[1u8; 64]);

@@ -86,64 +86,6 @@ impl ModeSet {
     }
 }
 
-/// How the server drives TCP connections.
-///
-/// The in-memory transport ([`crate::transport::mem_pair`]) is unaffected:
-/// it always runs one session per thread, which is what tests and the
-/// in-process sharded simulation want.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoModel {
-    /// One blocking OS thread per accepted connection (the historical
-    /// model). Simple, debuggable, and fine up to a few hundred mostly
-    /// active sessions; collapses under tens of thousands of mostly-idle
-    /// ones.
-    Threads,
-    /// A single epoll-driven reactor thread owns every accepted socket,
-    /// runs the per-connection framing state machine, and hands complete
-    /// requests to the batcher / engine pool (`lightweb-reactor`).
-    Reactor,
-}
-
-impl IoModel {
-    /// Stable name used in CLI flags, env vars, and snapshots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Reactor => "reactor",
-        }
-    }
-
-    /// Parse a stable name back.
-    pub fn from_name(s: &str) -> Option<IoModel> {
-        match s {
-            "threads" => Some(IoModel::Threads),
-            "reactor" => Some(IoModel::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The model selected by `LIGHTWEB_IO_MODEL` (`threads` | `reactor`),
-    /// defaulting to [`IoModel::Threads`]. Unknown values fall back to
-    /// the default loudly (logged and counted) rather than silently: a
-    /// typo in a deployment env file must not flip the io model.
-    pub fn from_env() -> IoModel {
-        match std::env::var("LIGHTWEB_IO_MODEL") {
-            Ok(v) => match IoModel::from_name(v.trim()) {
-                Some(m) => m,
-                None => {
-                    lightweb_telemetry::counter!("zltp.config.io_model.invalid").inc();
-                    lightweb_telemetry::events::emit(
-                        "zltp.config.io_model.invalid",
-                        &[("value", lightweb_telemetry::events::Field::Str(&v))],
-                    );
-                    IoModel::Threads
-                }
-            },
-            Err(_) => IoModel::Threads,
-        }
-    }
-}
-
 /// Batching policy for the two-server PIR scan (paper §5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchConfig {
@@ -209,11 +151,6 @@ pub struct ServerConfig {
     /// `LIGHTWEB_SCAN_THREADS` environment variable if set, else the
     /// machine's available parallelism.
     pub scan_threads: usize,
-    /// How TCP connections are driven (`lightweb_reactor::serve`
-    /// dispatches on this). All stock constructors read it from the
-    /// `LIGHTWEB_IO_MODEL` env var via [`IoModel::from_env`]; the
-    /// in-memory transport ignores it.
-    pub io_model: IoModel,
 }
 
 impl ServerConfig {
@@ -232,7 +169,6 @@ impl ServerConfig {
             lwe_n: 64,
             shard_prefix_bits: 0,
             scan_threads: 0,
-            io_model: IoModel::from_env(),
         }
     }
 
@@ -256,7 +192,6 @@ impl ServerConfig {
             lwe_n: 64,
             shard_prefix_bits: 0,
             scan_threads: 0,
-            io_model: IoModel::from_env(),
         }
     }
 
@@ -275,7 +210,6 @@ impl ServerConfig {
             lwe_n: 1024,
             shard_prefix_bits: 0,
             scan_threads: 0,
-            io_model: IoModel::from_env(),
         }
     }
 

@@ -45,9 +45,10 @@
 //! * [`wire`] — length-prefixed binary framing and every protocol message.
 //! * [`transport`] — a blocking byte-stream abstraction with in-memory and
 //!   TCP (`std::net`) implementations, plus framing on top.
-//! * [`server`] — the ZLTP server engine: per-connection threads, the
-//!   request **batcher** of §5.1 (one scan pass answers a whole batch), and
-//!   admin (publisher push) entry points.
+//! * [`server`] — the ZLTP server engine: the session logic (driven by a
+//!   blocking loop for in-memory streams and by `lightweb-reactor` for
+//!   TCP), the request **batcher** of §5.1 (one scan pass answers a whole
+//!   batch), and admin (publisher push) entry points.
 //! * [`client`] — session handles and the mode-aware clients, including the
 //!   two-server orchestration and combination.
 //! * [`deployment`] — the §5.2 scale-out: a front-end that splits DPF
@@ -66,7 +67,7 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{EnclaveClient, LweClientSession, SessionStats, TwoServerZltp, ZltpSession};
-pub use config::{BatchConfig, IoModel, Mode, ModeSet, ServerConfig};
+pub use config::{BatchConfig, Mode, ModeSet, ServerConfig};
 pub use deployment::{ShardedDeployment, ShardedQueryStats};
 pub use error::ZltpError;
 pub use server::{Completion, HelloOutcome, InProcServer, SessionTicket, Submitted, ZltpServer};

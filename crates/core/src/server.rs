@@ -24,7 +24,7 @@
 
 use crate::config::{Mode, ModeSet, ServerConfig};
 use crate::error::ZltpError;
-use crate::transport::{mem_pair, tune_zltp_socket, FramedConn, MemDuplex};
+use crate::transport::{mem_pair, FramedConn, MemDuplex};
 use crate::wire::{Message, PROTOCOL_VERSION};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use lightweb_engine::{
@@ -304,7 +304,10 @@ impl ZltpServer {
     /// Publish (insert or update) a blob under `key`. The blob must be
     /// exactly `blob_len` bytes — padding to the universe's fixed size is
     /// the `lightweb-universe` layer's job. Every mode's engine is updated
-    /// in lock-step with the master store.
+    /// in lock-step with the master store, all or nothing: if one engine
+    /// rejects the write (the enclave store is full, say), the stores
+    /// already written get their previous blob — or absence — back, so the
+    /// modes never serve different content.
     pub fn publish(&self, key: &str, blob: &[u8]) -> Result<(), ZltpError> {
         let cfg = &self.inner.config;
         if blob.len() != cfg.blob_len {
@@ -330,12 +333,41 @@ impl ZltpServer {
                 }
             }
         }
-        self.inner
+        let previous = self
+            .inner
             .master
             .write()
             .insert(key.as_bytes().to_vec(), blob.to_vec());
-        for (_, engine) in &self.inner.engines {
-            engine.publish(key.as_bytes(), blob)?;
+        for (i, (_, engine)) in self.inner.engines.iter().enumerate() {
+            if let Err(err) = engine.publish(key.as_bytes(), blob) {
+                let mut failure = ZltpError::from(err);
+                for (_, written) in &self.inner.engines[..i] {
+                    let restored = match &previous {
+                        Some(old) => written.publish(key.as_bytes(), old),
+                        None => written.unpublish(key.as_bytes()),
+                    };
+                    if let Err(e) = restored {
+                        // The publisher must learn the modes now differ.
+                        failure = ZltpError::Engine(format!(
+                            "{failure}; undoing the write in {} also failed: {e}",
+                            written.name()
+                        ));
+                    }
+                }
+                match previous {
+                    Some(old) => {
+                        self.inner
+                            .master
+                            .write()
+                            .insert(key.as_bytes().to_vec(), old);
+                    }
+                    None => {
+                        self.inner.master.write().remove(key.as_bytes());
+                        self.inner.slot_owner.write().remove(&slot);
+                    }
+                }
+                return Err(failure);
+            }
         }
         Ok(())
     }
@@ -465,9 +497,8 @@ impl ZltpServer {
     // Session handling
     // ------------------------------------------------------------------
 
-    /// Whether [`ZltpServer::shutdown`] has been requested. Transport
-    /// front-ends (the blocking accept loop, the reactor) poll this to
-    /// wind down.
+    /// Whether [`ZltpServer::shutdown`] has been requested. The reactor
+    /// polls this to wind down.
     pub fn is_shutting_down(&self) -> bool {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
@@ -475,7 +506,7 @@ impl ZltpServer {
     /// Account one accepted session: bumps the session counters and holds
     /// the open-connections gauge up for the ticket's lifetime. Every
     /// transport front-end opens one ticket per connection so `/healthz`
-    /// sees the same numbers regardless of io model.
+    /// sees the same numbers over TCP and in memory.
     pub fn begin_session(&self) -> SessionTicket {
         self.inner.stats.sessions.fetch_add(1, Ordering::Relaxed);
         lightweb_telemetry::counter!("zltp.server.sessions").inc();
@@ -757,58 +788,6 @@ impl ZltpServer {
             }
         }
     }
-
-    /// Serve TCP connections with one blocking thread per session until
-    /// `shutdown` is called. Returns the accept thread's handle.
-    ///
-    /// Errors if the listener cannot be made nonblocking or the accept
-    /// thread cannot spawn. The nonblocking accept loop is what lets the
-    /// thread observe `shutdown` between connections; the old behavior of
-    /// limping along with a blocking listener left shutdown unobserved
-    /// until the *next* accept returned — a hang in every process whose
-    /// last client already left — so that degraded mode is now a hard
-    /// error at bind time, when the operator is still looking.
-    pub fn serve_tcp(
-        &self,
-        listener: std::net::TcpListener,
-    ) -> std::io::Result<std::thread::JoinHandle<()>> {
-        let server = self.clone();
-        listener.set_nonblocking(true)?;
-        std::thread::Builder::new()
-            .name("zltp-accept".into())
-            .spawn(move || loop {
-                if server.inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        tune_zltp_socket(&stream, "server-accept");
-                        let s = server.clone();
-                        let spawned =
-                            std::thread::Builder::new()
-                                .name("zltp-conn".into())
-                                .spawn(move || {
-                                    if let Err(e) = s.handle_connection(stream) {
-                                        log_session_error("tcp-session", &e.to_string());
-                                    }
-                                });
-                        if let Err(e) = spawned {
-                            // Out of threads: drop the stream (the peer sees
-                            // a reset) instead of taking down the acceptor.
-                            log_session_error("spawn-connection", &e.to_string());
-                        }
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        log_session_error("accept", &e.to_string());
-                        return;
-                    }
-                }
-            })
-    }
 }
 
 /// RAII accounting for one open session; see [`ZltpServer::begin_session`].
@@ -932,6 +911,73 @@ mod tests {
             }
         }
         assert!(collided, "three keys fit in a two-slot domain?");
+    }
+
+    #[test]
+    fn publish_rejected_by_one_engine_changes_nothing_in_any_mode() {
+        use crate::client::{EnclaveClient, LweClientSession, TwoServerZltp};
+
+        // 2^12 slots: the enclave engine holds domain/4 = 1024 blobs, so it
+        // fills while the PIR engine (first in mode order) still has room.
+        let servers: Vec<InProcServer> = (0..2u8)
+            .map(|party| {
+                let mut cfg = ServerConfig::small("full", party);
+                cfg.domain_bits = 12;
+                cfg.blob_len = 16;
+                InProcServer::new(ZltpServer::new(cfg).unwrap())
+            })
+            .collect();
+        let blob = |i: usize| [(i % 251) as u8 + 1; 16];
+        let is_collision = |e: &ZltpError| e.to_string().contains("keyword collision");
+        // Fill to capacity; a colliding name is skipped (the rename rule).
+        let (mut next, mut last) = (0usize, 0usize);
+        while servers[0].server().num_blobs() < 1024 {
+            let key = format!("k-{next}");
+            match servers[0].server().publish(&key, &blob(next)) {
+                Ok(()) => {
+                    servers[1].server().publish(&key, &blob(next)).unwrap();
+                    last = next;
+                }
+                Err(e) => assert!(is_collision(&e), "{e}"),
+            }
+            next += 1;
+        }
+
+        // One more key, with a free slot: the enclave engine must refuse it.
+        let (extra, err) = (next..)
+            .map(|i| format!("k-{i}"))
+            .find_map(|key| match servers[0].server().publish(&key, &[0xEE; 16]) {
+                Err(e) if is_collision(&e) => None,
+                other => Some((key, other)),
+            })
+            .unwrap();
+        let err = err.expect_err("publish past the enclave's capacity succeeded");
+        assert!(err.to_string().contains("capacity"), "{err}");
+        assert!(servers[1].server().publish(&extra, &[0xEE; 16]).is_err());
+
+        for s in &servers {
+            let inner = &s.server().inner;
+            assert!(!s.server().contains(&extra));
+            assert_eq!(s.server().num_blobs(), 1024);
+            let slot = inner.keyword_map.slot(extra.as_bytes());
+            assert!(!inner.slot_owner.read().contains_key(&slot));
+        }
+        let present = format!("k-{last}");
+        let mut pir = TwoServerZltp::connect(servers[0].connect(), servers[1].connect()).unwrap();
+        assert_eq!(pir.private_get(&extra).unwrap(), vec![0u8; 16]);
+        assert_eq!(pir.private_get(&present).unwrap(), blob(last));
+        let mut enclave = EnclaveClient::connect(servers[0].connect()).unwrap();
+        assert_eq!(enclave.private_get(&extra).unwrap(), None);
+        assert_eq!(
+            enclave.private_get(&present).unwrap(),
+            Some(blob(last).to_vec())
+        );
+        let mut lwe = LweClientSession::connect(servers[0].connect()).unwrap();
+        assert_eq!(lwe.private_get(&extra).unwrap(), None);
+        assert_eq!(
+            lwe.private_get(&present).unwrap(),
+            Some(blob(last).to_vec())
+        );
     }
 
     #[test]

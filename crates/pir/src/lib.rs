@@ -32,7 +32,6 @@ pub mod keyword;
 pub mod lwe;
 pub mod two_server;
 
-pub use kernel::{KernelBackend, SCAN_KERNEL_ENV};
 pub use keyword::{analytic_collision_probability, KeywordMap};
 pub use two_server::{PirError, PirServer, TwoServerClient, TwoServerQuery};
 

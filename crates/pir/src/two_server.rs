@@ -8,12 +8,12 @@
 //! the remaining 103 ms. XORing the two servers' answers yields the record
 //! in the queried slot.
 //!
-//! The scan runs through the word-wide kernel layer ([`crate::kernel`]):
-//! records live in a 64-byte-aligned buffer with the stride padded to a
-//! word multiple, each record is XORed branch-free under a broadcast mask
-//! (the paper's prototype used AVX intrinsics for the same loop — here the
-//! AVX2 path is selected at runtime), and a whole batch of queries is
-//! answered in one sweep of the data.
+//! The scan runs through the one kernel in [`crate::kernel`]: records live
+//! in a 64-byte-aligned buffer with the stride padded to a word multiple,
+//! each record is XORed branch-free under a broadcast mask (the paper's
+//! prototype used AVX intrinsics for the same loop — here the compiler
+//! vectorizes it), and a whole batch of queries is answered in one sweep
+//! of the data.
 //!
 //! Batching (§5.1): evaluating `b` DPF keys up front and answering all of
 //! them in a *single* pass over the data raises throughput at the cost of
@@ -23,7 +23,7 @@
 //! vs 2.6 s / 6 req/s trade-off curve.
 
 use crate::aligned::AlignedBuf;
-use crate::kernel::{self, KernelBackend};
+use crate::kernel;
 use lightweb_dpf::{gen, BitMatrix, DpfKey, DpfParams};
 use std::ops::Range;
 
@@ -86,8 +86,6 @@ pub struct PirServer {
     /// a word multiple. The pad bytes are always zero, so scanning padded
     /// records XORs the same answer as scanning exact-length ones.
     stride: usize,
-    /// Scan kernel resolved at construction (env override or CPU detect).
-    backend: KernelBackend,
     /// Occupied slots, ascending.
     slots: Vec<u64>,
     /// Record bytes, 64-byte-aligned, `slots.len() * stride`.
@@ -102,7 +100,6 @@ impl PirServer {
             params,
             record_len,
             stride: record_len.next_multiple_of(8),
-            backend: KernelBackend::detect(),
             slots: Vec::new(),
             data: AlignedBuf::new(),
         }
@@ -227,11 +224,6 @@ impl PirServer {
         self.stride
     }
 
-    /// The scan kernel this server resolved at construction.
-    pub fn scan_backend(&self) -> KernelBackend {
-        self.backend
-    }
-
     /// The DPF parameters queries must use.
     pub fn params(&self) -> DpfParams {
         self.params
@@ -285,7 +277,7 @@ impl PirServer {
             return Err(PirError::ParamsMismatch);
         }
         let _scan = lightweb_telemetry::span!("pir.scan.ns");
-        let mut answers = self.scan_rows_range(self.backend, 0..self.slots.len(), &[bits]);
+        let mut answers = self.scan_rows_range(0..self.slots.len(), &[bits]);
         Ok(answers.pop().expect("batch of one"))
     }
 
@@ -295,7 +287,7 @@ impl PirServer {
     /// answer. Callers must pre-validate `bits` (see [`PirServer::scan`]).
     pub fn scan_range(&self, records: Range<usize>, bits: &[u8]) -> Vec<u8> {
         debug_assert_eq!(bits.len(), self.params.output_len());
-        self.scan_rows_range(self.backend, records, &[bits])
+        self.scan_rows_range(records, &[bits])
             .pop()
             .expect("batch of one")
     }
@@ -311,7 +303,7 @@ impl PirServer {
         }
         let _scan = lightweb_telemetry::span!("pir.scan.ns");
         let rows: Vec<&[u8]> = bit_vecs.iter().map(|b| b.as_slice()).collect();
-        Ok(self.scan_rows_range(self.backend, 0..self.slots.len(), &rows))
+        Ok(self.scan_rows_range(0..self.slots.len(), &rows))
     }
 
     /// Batched scan over the record-index range `records` only; the
@@ -319,20 +311,7 @@ impl PirServer {
     /// Callers must pre-validate the bit vectors.
     pub fn scan_batch_range(&self, records: Range<usize>, bit_vecs: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let rows: Vec<&[u8]> = bit_vecs.iter().map(|b| b.as_slice()).collect();
-        self.scan_rows_range(self.backend, records, &rows)
-    }
-
-    /// [`PirServer::scan_batch_range`] forced onto a specific kernel
-    /// backend, bypassing detection — the hook the differential test
-    /// suite uses to hold every backend to the scalar reference.
-    pub fn scan_batch_range_with(
-        &self,
-        backend: KernelBackend,
-        records: Range<usize>,
-        bit_vecs: &[Vec<u8>],
-    ) -> Vec<Vec<u8>> {
-        let rows: Vec<&[u8]> = bit_vecs.iter().map(|b| b.as_slice()).collect();
-        self.scan_rows_range(backend, records, &rows)
+        self.scan_rows_range(records, &rows)
     }
 
     /// One scan pass answering a whole evaluated [`BitMatrix`] — the
@@ -352,18 +331,13 @@ impl PirServer {
     pub fn scan_matrix_range(&self, records: Range<usize>, matrix: &BitMatrix) -> Vec<Vec<u8>> {
         debug_assert_eq!(matrix.row_bytes(), self.params.output_len());
         let rows = matrix.row_slices();
-        self.scan_rows_range(self.backend, records, &rows)
+        self.scan_rows_range(records, &rows)
     }
 
     /// The one core scan every public path funnels into: run the kernel
     /// over the padded buffer, account the swept bytes, and slice the
     /// word-wide accumulators back down to `record_len`.
-    fn scan_rows_range(
-        &self,
-        backend: KernelBackend,
-        records: Range<usize>,
-        rows: &[&[u8]],
-    ) -> Vec<Vec<u8>> {
+    fn scan_rows_range(&self, records: Range<usize>, rows: &[&[u8]]) -> Vec<Vec<u8>> {
         debug_assert!(records.end <= self.slots.len());
         if rows.is_empty() {
             return Vec::new();
@@ -371,7 +345,6 @@ impl PirServer {
         let stride_words = self.stride / 8;
         let mut acc = vec![0u64; rows.len() * stride_words];
         kernel::scan_batch_kernel(
-            backend,
             self.data.as_words(),
             stride_words,
             &self.slots,
@@ -753,28 +726,6 @@ mod tests {
             .unwrap();
             assert_eq!(got, expected, "slot {slot}");
         }
-    }
-
-    #[test]
-    fn every_kernel_backend_answers_identically() {
-        let p = params();
-        let entries = sample_entries(23, 19);
-        let server = PirServer::from_entries(p, 19, entries).unwrap();
-        let bit_vecs: Vec<Vec<u8>> = [3u64, 99, 500]
-            .iter()
-            .map(|&s| TwoServerClient::new(p, 19).query_slot(s).key0.eval_full())
-            .collect();
-        let reference =
-            server.scan_batch_range_with(KernelBackend::Scalar, 0..server.len(), &bit_vecs);
-        for backend in KernelBackend::ALL {
-            assert_eq!(
-                server.scan_batch_range_with(backend, 0..server.len(), &bit_vecs),
-                reference,
-                "backend {}",
-                backend.name()
-            );
-        }
-        assert!(server.scan_backend().is_supported());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! End-to-end serving through `lightweb_reactor::serve` under both io
-//! models: correctness parity with the blocking path, adversarial
+//! End-to-end serving through `lightweb_reactor::serve`: two-server
+//! private GETs, shutdown, adversarial
 //! framing (trickled partial frames, oversized-frame rejection),
 //! pipelined requests, the Close handshake, worker-pool (unbatched
 //! engine) answering, and slow-loris idle reaping.
 
-use lightweb_core::config::{IoModel, Mode, ModeSet, ServerConfig};
+use lightweb_core::config::{Mode, ModeSet, ServerConfig};
 use lightweb_core::transport::encode_frame;
 use lightweb_core::wire::{Message, PROTOCOL_VERSION};
 use lightweb_core::{EnclaveClient, TwoServerZltp, ZltpServer};
@@ -13,10 +13,9 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn server_on(io_model: IoModel, universe: &str, party: u8, pages: usize) -> ZltpServer {
+fn server_on(universe: &str, party: u8, pages: usize) -> ZltpServer {
     let mut cfg = ServerConfig::small(universe, party);
     cfg.blob_len = 64;
-    cfg.io_model = io_model;
     let server = ZltpServer::new(cfg).unwrap();
     for i in 0..pages {
         server.publish(&format!("r/{i}"), &[i as u8; 64]).unwrap();
@@ -30,56 +29,56 @@ fn listen() -> (TcpListener, std::net::SocketAddr) {
     (l, addr)
 }
 
-/// The same two-server private-GET exchange must work — with identical
-/// answers — whichever io model drives the sockets.
+/// A two-server pair on loopback, each behind [`serve`].
+fn serve_pair(universe: &str, pages: usize) -> (Vec<std::net::SocketAddr>, Vec<ZltpServer>) {
+    let mut addrs = Vec::new();
+    let mut servers = Vec::new();
+    for party in 0..2u8 {
+        let server = server_on(universe, party, pages);
+        let (l, addr) = listen();
+        serve(&server, l).unwrap();
+        addrs.push(addr);
+        servers.push(server);
+    }
+    (addrs, servers)
+}
+
+/// The two-server private-GET exchange works over reactor-driven sockets.
 #[test]
-fn private_get_parity_across_io_models() {
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        let mut addrs = Vec::new();
-        let mut servers = Vec::new();
-        for party in 0..2u8 {
-            let server = server_on(io_model, "parity", party, 8);
-            let (l, addr) = listen();
-            serve(&server, l).unwrap();
-            addrs.push(addr);
-            servers.push(server);
-        }
-        let mut client = TwoServerZltp::connect(
-            TcpStream::connect(addrs[0]).unwrap(),
-            TcpStream::connect(addrs[1]).unwrap(),
-        )
-        .unwrap();
-        for i in [0usize, 3, 7] {
-            assert_eq!(
-                client.private_get(&format!("r/{i}")).unwrap(),
-                vec![i as u8; 64],
-                "{io_model:?} r/{i}"
-            );
-        }
-        client.close().unwrap();
-        for s in &servers {
-            s.shutdown();
-        }
+fn private_get_over_the_reactor() {
+    let (addrs, servers) = serve_pair("parity", 8);
+    let mut client = TwoServerZltp::connect(
+        TcpStream::connect(addrs[0]).unwrap(),
+        TcpStream::connect(addrs[1]).unwrap(),
+    )
+    .unwrap();
+    for i in [0usize, 3, 7] {
+        assert_eq!(
+            client.private_get(&format!("r/{i}")).unwrap(),
+            vec![i as u8; 64],
+            "r/{i}"
+        );
+    }
+    client.close().unwrap();
+    for s in &servers {
+        s.shutdown();
     }
 }
 
-/// Shutting the server down makes the serving thread exit under both
-/// models (the satellite fix: a blocking listener can no longer leave
-/// shutdown unobserved).
+/// Shutting the server down makes the serving thread exit, with no
+/// client connected to wake it.
 #[test]
 fn serving_thread_exits_on_shutdown() {
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        let server = server_on(io_model, "shutdown", 0, 1);
-        let (l, _addr) = listen();
-        let handle = serve(&server, l).unwrap();
-        server.shutdown();
-        let t0 = Instant::now();
-        handle.join().unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "{io_model:?} serving thread failed to wind down"
-        );
-    }
+    let server = server_on("shutdown", 0, 1);
+    let (l, _addr) = listen();
+    let handle = serve(&server, l).unwrap();
+    server.shutdown();
+    let t0 = Instant::now();
+    handle.join().unwrap();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "serving thread failed to wind down"
+    );
 }
 
 /// A client that trickles its frames one byte at a time (pathological
@@ -87,7 +86,7 @@ fn serving_thread_exits_on_shutdown() {
 /// the reactor's incremental decoder.
 #[test]
 fn reactor_survives_byte_at_a_time_client() {
-    let server = server_on(IoModel::Reactor, "trickle", 0, 2);
+    let server = server_on("trickle", 0, 2);
     let (l, addr) = listen();
     serve(&server, l).unwrap();
 
@@ -129,7 +128,7 @@ fn reactor_survives_byte_at_a_time_client() {
 /// header is seen — the server never buffers toward a 1 GiB frame.
 #[test]
 fn reactor_rejects_oversized_frame_with_teardown() {
-    let server = server_on(IoModel::Reactor, "oversize", 0, 1);
+    let server = server_on("oversize", 0, 1);
     let (l, addr) = listen();
     serve(&server, l).unwrap();
 
@@ -157,7 +156,6 @@ fn reactor_serves_unbatched_enclave_mode() {
     let mut cfg = ServerConfig::small("enclave-reactor", 0);
     cfg.blob_len = 64;
     cfg.modes = ModeSet::new([Mode::Enclave]);
-    cfg.io_model = IoModel::Reactor;
     let server = ZltpServer::new(cfg).unwrap();
     for i in 0..4 {
         server
@@ -182,14 +180,9 @@ fn reactor_serves_unbatched_enclave_mode() {
 /// observes EOF — and the reap is counted.
 #[test]
 fn reactor_reaps_idle_sessions() {
-    let server = server_on(IoModel::Reactor, "loris", 0, 1);
+    let server = server_on("loris", 0, 1);
     let (l, addr) = listen();
-    let cfg = ReactorConfig {
-        idle_timeout: Duration::from_millis(250),
-        idle_mark: Duration::from_millis(50),
-        sweep_interval: Duration::from_millis(50),
-        ..ReactorConfig::default()
-    };
+    let cfg = ReactorConfig::with_idle_timeout(Duration::from_millis(250));
     let before = lightweb_telemetry::registry().snapshot();
     serve_with(&server, l, cfg).unwrap();
 
@@ -239,7 +232,7 @@ fn reactor_reaps_idle_sessions() {
 /// fleet aggregator's health table is built on.
 #[test]
 fn reactor_exports_tick_health_metrics() {
-    let server = server_on(IoModel::Reactor, "tickhealth", 0, 2);
+    let server = server_on("tickhealth", 0, 2);
     let (l, addr) = listen();
     let before = lightweb_telemetry::registry().snapshot();
     serve(&server, l).unwrap();
@@ -282,43 +275,28 @@ fn reactor_exports_tick_health_metrics() {
 }
 
 /// Sessions with multiple sequential requests keep working (the state
-/// machine returns to Ready between requests), and server stats match
-/// across models.
+/// machine returns to Ready between requests), and every answered GET is
+/// counted exactly once per server.
 #[test]
-fn sequential_requests_and_stats_parity() {
-    let mut requests = Vec::new();
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        let mut addrs = Vec::new();
-        let mut servers = Vec::new();
-        for party in 0..2u8 {
-            let server = server_on(io_model, "seqstats", party, 4);
-            let (l, addr) = listen();
-            serve(&server, l).unwrap();
-            addrs.push(addr);
-            servers.push(server);
-        }
-        let mut client = TwoServerZltp::connect(
-            TcpStream::connect(addrs[0]).unwrap(),
-            TcpStream::connect(addrs[1]).unwrap(),
-        )
-        .unwrap();
-        for round in 0..3 {
-            for i in 0..4usize {
-                assert_eq!(
-                    client.private_get(&format!("r/{i}")).unwrap(),
-                    vec![i as u8; 64],
-                    "{io_model:?} round {round} r/{i}"
-                );
-            }
-        }
-        client.close().unwrap();
-        requests.push(servers.iter().map(|s| s.stats().requests).sum::<u64>());
-        for s in &servers {
-            s.shutdown();
+fn sequential_requests_are_each_counted_once() {
+    let (addrs, servers) = serve_pair("seqstats", 4);
+    let mut client = TwoServerZltp::connect(
+        TcpStream::connect(addrs[0]).unwrap(),
+        TcpStream::connect(addrs[1]).unwrap(),
+    )
+    .unwrap();
+    for round in 0..3 {
+        for i in 0..4usize {
+            assert_eq!(
+                client.private_get(&format!("r/{i}")).unwrap(),
+                vec![i as u8; 64],
+                "round {round} r/{i}"
+            );
         }
     }
-    assert_eq!(
-        requests[0], requests[1],
-        "request accounting diverged between io models"
-    );
+    client.close().unwrap();
+    for s in &servers {
+        assert_eq!(s.stats().requests, 12, "request accounting");
+        s.shutdown();
+    }
 }

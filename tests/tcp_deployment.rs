@@ -25,7 +25,7 @@ fn tcp_pair(
         }
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.push(listener.local_addr().unwrap());
-        server.serve_tcp(listener).unwrap();
+        lightweb::reactor::serve(&server, listener).unwrap();
         servers.push(server);
     }
     (addrs[0], addrs[1], servers)
@@ -138,7 +138,7 @@ fn batching_server_survives_bursts_over_tcp() {
     }
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    server.serve_tcp(listener).unwrap();
+    lightweb::reactor::serve(&server, listener).unwrap();
 
     // Raw single sessions (not the two-server wrapper) to drive the batch
     // path directly with full-domain keys.

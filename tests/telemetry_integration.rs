@@ -154,7 +154,7 @@ fn telemetry_reproduces_per_request_communication() {
         .map(|server| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
-            server.serve_tcp(listener).unwrap();
+            lightweb::reactor::serve(server, listener).unwrap();
             addr
         })
         .collect();

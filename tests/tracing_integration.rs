@@ -52,7 +52,7 @@ fn batched_sharded_tcp_session_produces_complete_trace_trees() {
         }
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.push(listener.local_addr().unwrap());
-        server.serve_tcp(listener).unwrap();
+        lightweb::reactor::serve(&server, listener).unwrap();
         servers.push(server);
     }
 
