@@ -4,7 +4,10 @@
 //!
 //! * [`TwoServerZltp`] — the paper's prototype client: sessions with two
 //!   non-colluding servers, DPF key-pair generation per GET, XOR
-//!   combination of the answers (§2.2, §5.1).
+//!   combination of the answers (§2.2, §5.1). The two servers are asked
+//!   concurrently: every exchange (hello, GET, close) writes to both
+//!   streams before it reads from either, so a GET costs one server
+//!   round trip, not two — by ordering the blocking calls, no thread.
 //! * [`LweClientSession`] — single-server mode: downloads the offline
 //!   material (manifest + hint) once, then issues Regev-encrypted queries.
 //! * [`EnclaveClient`] — enclave mode: seals the keyword to the enclave
@@ -55,11 +58,22 @@ impl<S: Read + Write> ZltpSession<S> {
     /// Connect: send `ClientHello`, validate the `ServerHello`, and return
     /// the ready session.
     pub fn connect(stream: S, client_modes: &ModeSet) -> Result<Self, ZltpError> {
+        let conn = Self::send_hello(stream, client_modes)?;
+        Self::recv_hello(conn, client_modes)
+    }
+
+    /// Send half of [`ZltpSession::connect`].
+    fn send_hello(stream: S, client_modes: &ModeSet) -> Result<FramedConn<S>, ZltpError> {
         let mut conn = FramedConn::new(stream);
         conn.send(&Message::ClientHello {
             version: PROTOCOL_VERSION,
             modes: client_modes.modes().iter().map(|m| m.to_wire()).collect(),
         })?;
+        Ok(conn)
+    }
+
+    /// Receive half of [`ZltpSession::connect`]: validate the `ServerHello`.
+    fn recv_hello(mut conn: FramedConn<S>, client_modes: &ModeSet) -> Result<Self, ZltpError> {
         match conn.recv()? {
             Message::ServerHello {
                 version,
@@ -163,6 +177,14 @@ impl<S: Read + Write> ZltpSession<S> {
             Some(p) => TraceSpan::child(p, "zltp.client.transport"),
             None => TraceSpan::root("zltp.client.transport"),
         };
+        let request_id = self.send_get(payload, &span.ctx())?;
+        self.recv_get(request_id)
+    }
+
+    /// Send half of a GET: allocate the request id, write the frame with
+    /// `hop` as its trace extension, count the request. The returned id
+    /// goes to the matching [`ZltpSession::recv_get`].
+    fn send_get(&mut self, payload: Vec<u8>, hop: &TraceContext) -> Result<u32, ZltpError> {
         let request_id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
         self.conn.send_traced(
@@ -170,9 +192,17 @@ impl<S: Read + Write> ZltpSession<S> {
                 request_id,
                 payload,
             },
-            Some(&span.ctx()),
+            Some(hop),
         )?;
         self.requests += 1;
+        Ok(request_id)
+    }
+
+    /// Receive half of a GET: the answer to `request_id`. A
+    /// `ServerError` leaves the session in step (the server answered
+    /// this request, with an error frame); after any other error the
+    /// stream's position is unknown.
+    fn recv_get(&mut self, request_id: u32) -> Result<Vec<u8>, ZltpError> {
         match self.conn.recv()? {
             Message::GetResponse {
                 request_id: rid,
@@ -210,10 +240,19 @@ impl<S: Read + Write> ZltpSession<S> {
 }
 
 /// The two-server PIR client: one session per server, XOR combination.
+///
+/// Every exchange writes to both servers before reading from either. Two
+/// rules keep the overlapped sessions in step: once both requests of a GET
+/// are written, both answers are read before anything is returned (so a
+/// server's `Error` reply on one leg never strands the other leg's answer);
+/// and any other failure of a leg — transport error, malformed or
+/// mismatched reply — marks the pair broken, after which every GET fails
+/// with [`ZltpError::Io`] rather than pair a stale answer with a new request.
 pub struct TwoServerZltp<S: Read + Write> {
     s0: ZltpSession<S>,
     s1: ZltpSession<S>,
     pir: TwoServerClient,
+    broken: bool,
 }
 
 impl<S: Read + Write> TwoServerZltp<S> {
@@ -221,8 +260,20 @@ impl<S: Read + Write> TwoServerZltp<S> {
     /// same universe with identical parameters.
     pub fn connect(stream0: S, stream1: S) -> Result<Self, ZltpError> {
         let modes = ModeSet::new([Mode::TwoServerPir]);
-        let s0 = ZltpSession::connect(stream0, &modes)?;
-        let s1 = ZltpSession::connect(stream1, &modes)?;
+        let c0 = ZltpSession::send_hello(stream0, &modes)?;
+        let c1 = ZltpSession::send_hello(stream1, &modes);
+        let s0 = ZltpSession::recv_hello(c0, &modes);
+        let s1 = c1.and_then(|c| ZltpSession::recv_hello(c, &modes));
+        let (s0, s1) = match (s0, s1) {
+            (Ok(s0), Ok(s1)) => (s0, s1),
+            // One server refused: the other's session is negotiated, so
+            // it gets an orderly Close, and the refusal is reported.
+            (Ok(s), Err(e)) | (Err(e), Ok(s)) => {
+                let _ = s.close();
+                return Err(e);
+            }
+            (Err(e), Err(_)) => return Err(e),
+        };
         if s0.universe_id() != s1.universe_id() {
             return Err(ZltpError::ServerPairMismatch(format!(
                 "universes differ: '{}' vs '{}'",
@@ -246,7 +297,12 @@ impl<S: Read + Write> TwoServerZltp<S> {
             ));
         }
         let pir = TwoServerClient::new(s0.params(), s0.blob_len());
-        Ok(Self { s0, s1, pir })
+        Ok(Self {
+            s0,
+            s1,
+            pir,
+            broken: false,
+        })
     }
 
     /// The universe id.
@@ -300,25 +356,46 @@ impl<S: Read + Write> TwoServerZltp<S> {
 
     /// [`TwoServerZltp::private_get_slot`] with causal tracing: one
     /// `zltp.client.request` span covers the whole logical GET — both
-    /// server hops, each a `zltp.client.transport` child — rooted fresh
-    /// unless `parent` chains it under a larger operation.
+    /// server hops, each a `zltp.client.transport` child from its send to
+    /// its receive, overlapping in time — rooted fresh unless `parent`
+    /// chains it under a larger operation.
     pub fn private_get_slot_traced(
         &mut self,
         slot: u64,
         parent: Option<&TraceContext>,
     ) -> Result<Vec<u8>, ZltpError> {
+        if self.broken {
+            return Err(ZltpError::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "two-server pair is out of step after an earlier failed exchange",
+            )));
+        }
         let span = match parent {
             Some(p) => TraceSpan::child(p, "zltp.client.request"),
             None => TraceSpan::root("zltp.client.request"),
         };
         let ctx = span.ctx();
         let query = self.pir.query_slot(slot);
-        let a0 = self
-            .s0
-            .get_raw_traced(query.key0.to_bytes().to_vec(), Some(&ctx))?;
-        let a1 = self
-            .s1
-            .get_raw_traced(query.key1.to_bytes().to_vec(), Some(&ctx))?;
+        let (key0, key1) = (
+            query.key0.to_bytes().to_vec(),
+            query.key1.to_bytes().to_vec(),
+        );
+        // Until both answers are read and in step, the pair is not.
+        self.broken = true;
+        let hop0 = TraceSpan::child(&ctx, "zltp.client.transport");
+        let id0 = self.s0.send_get(key0, &hop0.ctx())?;
+        let hop1 = TraceSpan::child(&ctx, "zltp.client.transport");
+        let id1 = self.s1.send_get(key1, &hop1.ctx())?;
+        let a0 = self.s0.recv_get(id0);
+        drop(hop0);
+        let a1 = self.s1.recv_get(id1);
+        drop(hop1);
+        // A server's error reply is an answer; any other failure is not.
+        let in_step = |a: &Result<Vec<u8>, ZltpError>| {
+            matches!(a, Ok(_) | Err(ZltpError::ServerError { .. }))
+        };
+        self.broken = !(in_step(&a0) && in_step(&a1));
+        let (a0, a1) = (a0?, a1?);
         if a0.len() != self.blob_len() || a1.len() != self.blob_len() {
             return Err(ZltpError::Wire("answer has wrong blob size".into()));
         }
@@ -336,10 +413,19 @@ impl<S: Read + Write> TwoServerZltp<S> {
         }
     }
 
-    /// Close both sessions.
-    pub fn close(self) -> Result<(), ZltpError> {
-        self.s0.close()?;
-        self.s1.close()
+    /// Close both sessions: both `Close` frames are attempted whatever
+    /// happens to the other, then each echo is awaited (best-effort, as in
+    /// [`ZltpSession::close`]); the first send error is returned.
+    pub fn close(mut self) -> Result<(), ZltpError> {
+        let w0 = self.s0.conn.send(&Message::Close);
+        let w1 = self.s1.conn.send(&Message::Close);
+        if w0.is_ok() {
+            let _ = self.s0.conn.recv();
+        }
+        if w1.is_ok() {
+            let _ = self.s1.conn.recv();
+        }
+        w0.and(w1)
     }
 }
 
@@ -569,6 +655,128 @@ mod tests {
             panic!("mismatched universes accepted")
         };
         assert!(matches!(err, ZltpError::ServerPairMismatch(_)));
+    }
+
+    /// A stream that replays a scripted server: reads drain `replies`
+    /// (EOF after it), writes are only counted.
+    struct Scripted {
+        replies: std::io::Cursor<Vec<u8>>,
+        written: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.replies.read(buf)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const SCRIPT_BLOB: usize = 8;
+
+    /// The server side of one leg: party `party`'s `ServerHello`, then
+    /// `replies` in order.
+    fn scripted(party: u8, replies: &[Message]) -> Scripted {
+        let mut cfg = ServerConfig::small("scripted", party);
+        cfg.blob_len = SCRIPT_BLOB;
+        let hello = Message::ServerHello {
+            version: PROTOCOL_VERSION,
+            universe_id: cfg.universe_id,
+            mode: Mode::TwoServerPir.to_wire(),
+            blob_len: cfg.blob_len as u32,
+            domain_bits: cfg.domain_bits as u8,
+            term_bits: cfg.term_bits as u8,
+            keyword_hash_key: cfg.keyword_hash_key,
+            extra: vec![party],
+        };
+        let mut wire = Vec::new();
+        for msg in std::iter::once(&hello).chain(replies) {
+            wire.extend(crate::transport::encode_frame(msg, None).unwrap());
+        }
+        Scripted {
+            replies: std::io::Cursor::new(wire),
+            written: 0,
+        }
+    }
+
+    fn answer(request_id: u32, fill: u8) -> Message {
+        Message::GetResponse {
+            request_id,
+            payload: vec![fill; SCRIPT_BLOB],
+        }
+    }
+
+    fn bytes_written(pair: &TwoServerZltp<Scripted>) -> usize {
+        pair.s0.conn.get_ref().written + pair.s1.conn.get_ref().written
+    }
+
+    /// The next GET on a broken pair fails with `Io` and writes nothing.
+    fn assert_fails_fast(pair: &mut TwoServerZltp<Scripted>) {
+        let before = bytes_written(pair);
+        assert!(matches!(pair.private_get_slot(5), Err(ZltpError::Io(_))));
+        assert_eq!(bytes_written(pair), before, "a broken pair must not send");
+    }
+
+    #[test]
+    fn error_reply_on_either_leg_drains_the_other_and_the_pair_stays_usable() {
+        let refused = Message::Error {
+            code: 2,
+            message: "bad query".into(),
+        };
+        for failing_leg in [0, 1] {
+            let mut legs = [
+                vec![answer(1, 0x0F), answer(2, 0x11)],
+                vec![answer(1, 0xF0), answer(2, 0x22)],
+            ];
+            legs[failing_leg][0] = refused.clone();
+            let mut pair =
+                TwoServerZltp::connect(scripted(0, &legs[0]), scripted(1, &legs[1])).unwrap();
+            let err = pair.private_get_slot(3).unwrap_err();
+            assert!(
+                matches!(err, ZltpError::ServerError { code: 2, .. }),
+                "{err}"
+            );
+            // Had the other leg's first answer been left unread, this GET
+            // would meet it and fail the request-id check.
+            assert_eq!(
+                pair.private_get_slot(4).unwrap(),
+                vec![0x33; SCRIPT_BLOB],
+                "leg {failing_leg}"
+            );
+            assert_eq!(pair.stats().requests, 2);
+        }
+    }
+
+    #[test]
+    fn eof_on_server_1_after_both_sends_breaks_the_pair() {
+        let mut pair =
+            TwoServerZltp::connect(scripted(0, &[answer(1, 1), answer(2, 2)]), scripted(1, &[]))
+                .unwrap();
+        let err = pair.private_get_slot(3).unwrap_err();
+        assert!(matches!(err, ZltpError::Io(_)), "{err}");
+        assert_fails_fast(&mut pair);
+    }
+
+    #[test]
+    fn answer_with_the_wrong_request_id_is_refused_and_breaks_the_pair() {
+        // Server 0 answers request 1 with a stale id: never combine it.
+        let mut pair = TwoServerZltp::connect(
+            scripted(0, &[answer(7, 1), answer(2, 2)]),
+            scripted(1, &[answer(1, 1), answer(2, 2)]),
+        )
+        .unwrap();
+        let err = pair.private_get_slot(3).unwrap_err();
+        assert!(matches!(err, ZltpError::Wire(_)), "{err}");
+        assert_fails_fast(&mut pair);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! TCP sockets and asserts that every request produced a complete trace
 //! tree: client request → per-hop transport → server request →
 //! batch-wait → engine phase → per-shard answer spans, with correct
-//! parent/child links and child durations that fit inside the root.
+//! parent/child links, child spans that lie inside the root, and the two
+//! server hops overlapping in time.
 //!
 //! The trace collector is process-global, so this file holds a single
 //! test function (integration-test binaries are per-file; nothing else
@@ -95,11 +96,13 @@ fn batched_sharded_tcp_session_produces_complete_trace_trees() {
             assert_linked(root, hop);
 
             // The wire context crossed the TCP connection: the server's
-            // request span is a child of the client's transport span.
+            // request span is a child of the client's transport span —
+            // exactly one per hop, also now that the hops overlap.
             let req = hop
                 .child_named("zltp.server.request")
                 .expect("server request span crossed the wire");
             assert_linked(hop, req);
+            assert_eq!(hop.children_named("zltp.server.request").count(), 1);
 
             let prepare = req
                 .child_named("zltp.server.prepare")
@@ -135,12 +138,31 @@ fn batched_sharded_tcp_session_produces_complete_trace_trees() {
             );
         }
 
-        // The two sequential hops fit inside the client's root span.
-        let child_sum: u64 = root.children.iter().map(|c| c.duration_ns).sum();
+        // Each hop lies inside the client's root span (starts are recorded
+        // in whole microseconds, hence the slack) ...
+        let end_ns = |n: &TraceNode| n.start_us * 1_000 + n.duration_ns;
+        for hop in &hops {
+            assert!(
+                hop.start_us >= root.start_us && end_ns(hop) <= end_ns(root) + 1_000,
+                "hop [{} us, +{} ns] outside the root [{} us, +{} ns]",
+                hop.start_us,
+                hop.duration_ns,
+                root.start_us,
+                root.duration_ns
+            );
+        }
+        // ... and the two overlap: server 1 is asked before server 0 has
+        // answered (each answer takes at least the 5 ms batch window).
+        let (first, second) = if hops[0].start_us <= hops[1].start_us {
+            (hops[0], hops[1])
+        } else {
+            (hops[1], hops[0])
+        };
         assert!(
-            child_sum <= root.duration_ns,
-            "hop durations ({child_sum} ns) exceed the root span ({} ns)",
-            root.duration_ns
+            second.start_us * 1_000 < end_ns(first),
+            "hops ran one after the other: second starts at {} us, first ends at {} ns",
+            second.start_us,
+            end_ns(first)
         );
     }
 }
