@@ -93,8 +93,11 @@ pub struct BatchConfig {
     /// The paper contrasts 1 (0.51 s latency, 2 req/s) with 16 (2.6 s,
     /// 6 req/s).
     pub max_batch: usize,
-    /// How long the batcher waits for more requests before scanning a
-    /// partial batch.
+    /// The longest the batcher lingers for more requests before scanning
+    /// a partial batch. An upper bound, not a fixed wait: lingering can
+    /// save at most one pass, so the batcher waits `min(window, how long
+    /// its previous pass took)`. Where a pass is longer than the window
+    /// (paper-scale shards, full batches) the window is the wait.
     pub window: Duration,
 }
 

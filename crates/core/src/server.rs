@@ -18,9 +18,20 @@
 //! In two-server PIR mode the dominant cost is the linear scan. The server
 //! therefore funnels all DPF queries through a batcher thread that
 //! collects up to `max_batch` requests (or as many as arrive within a short
-//! window) and answers them with **one** scan pass. The paper's numbers —
+//! linger) and answers them with **one** scan pass. The paper's numbers —
 //! batch of 16: 167 ms amortized per request, 2.6 s latency, 6 req/s vs
 //! unbatched 0.51 s and 2 req/s — come from exactly this trade.
+//!
+//! The trade is latency for throughput, and it is only worth making while
+//! the wait costs less than what it can save. Waiting for company saves at
+//! most one pass, so the batcher lingers `min(batch.window, how long its
+//! previous pass took)`: at paper scale (a pass of hundreds of
+//! milliseconds) and with full batches the configured window is the bound,
+//! as before; on an idle server with a small shard a lone GET is answered
+//! in about the time a pass takes instead of waiting out a window it shares
+//! with nobody. The rule reads two clocks — when jobs arrived and how long
+//! the last pass ran — and nothing about any query, so it adds nothing
+//! key-dependent to what the server or the network can observe.
 
 use crate::config::{Mode, ModeSet, ServerConfig};
 use crate::error::ZltpError;
@@ -38,7 +49,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Error codes carried in wire-level `Error` messages.
 pub mod error_code {
@@ -170,6 +181,9 @@ fn inflight_requests_gauge() -> &'static lightweb_telemetry::Gauge {
     })
 }
 
+/// One query engine per supported mode, in preference order.
+type Engines = Vec<(Mode, Box<dyn QueryEngine>)>;
+
 struct ServerInner {
     config: ServerConfig,
     keyword_map: KeywordMap,
@@ -179,8 +193,7 @@ struct ServerInner {
     master: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
     /// slot -> key, for publish-time collision detection.
     slot_owner: RwLock<std::collections::HashMap<u64, Vec<u8>>>,
-    /// One query engine per supported mode, in preference order.
-    engines: Vec<(Mode, Box<dyn QueryEngine>)>,
+    engines: Engines,
     /// Queue into the batcher (present iff batching is enabled).
     batch_tx: Mutex<Option<Sender<BatchJob>>>,
     stats: AtomicStats,
@@ -207,9 +220,14 @@ impl ZltpServer {
     /// mode, sharing one scan pool. Spawns the batcher thread if batching
     /// is enabled.
     pub fn new(config: ServerConfig) -> Result<Self, ZltpError> {
+        let engines = Self::build_engines(&config)?;
+        Ok(Self::with_engines(config, engines))
+    }
+
+    fn build_engines(config: &ServerConfig) -> Result<Engines, ZltpError> {
         let params = config.dpf_params();
         let pool = ScanPool::new(config.scan_threads);
-        let mut engines: Vec<(Mode, Box<dyn QueryEngine>)> = Vec::new();
+        let mut engines = Engines::new();
         for &mode in config.modes.modes() {
             let engine: Box<dyn QueryEngine> = match mode {
                 Mode::TwoServerPir => Box::new(TwoServerDpfEngine::new(
@@ -218,7 +236,7 @@ impl ZltpServer {
                     config.party,
                     config.shard_prefix_bits,
                     KeywordMap::new(&config.keyword_hash_key, config.domain_bits),
-                    pool,
+                    pool.clone(),
                 )?),
                 Mode::SingleServerLwe => Box::new(SingleServerLweEngine::new(
                     config.blob_len,
@@ -237,6 +255,11 @@ impl ZltpServer {
             lightweb_telemetry::scrape::register_serving_mode(engine.name());
             engines.push((mode, engine));
         }
+        Ok(engines)
+    }
+
+    /// A server over ready-made engines (tests substitute their own).
+    fn with_engines(config: ServerConfig, engines: Engines) -> Self {
         let inner = Arc::new(ServerInner {
             keyword_map: KeywordMap::new(&config.keyword_hash_key, config.domain_bits),
             master: RwLock::new(BTreeMap::new()),
@@ -258,7 +281,7 @@ impl ZltpServer {
         {
             server.spawn_batcher();
         }
-        Ok(server)
+        server
     }
 
     /// The server's configuration.
@@ -372,17 +395,40 @@ impl ZltpServer {
         Ok(())
     }
 
-    /// Remove a blob. Returns whether it existed.
+    /// Remove a blob. Returns whether it existed. All or nothing, like
+    /// [`ZltpServer::publish`]: if one engine refuses, the engines that
+    /// already dropped the blob get it back and the key stays published,
+    /// so the modes never serve different content.
     pub fn unpublish(&self, key: &str) -> Result<bool, ZltpError> {
-        let existed = self.inner.master.write().remove(key.as_bytes()).is_some();
-        if existed {
-            let slot = self.inner.keyword_map.slot(key.as_bytes());
-            self.inner.slot_owner.write().remove(&slot);
-            for (_, engine) in &self.inner.engines {
-                engine.unpublish(key.as_bytes())?;
+        let Some(blob) = self.inner.master.write().remove(key.as_bytes()) else {
+            return Ok(false);
+        };
+        let slot = self.inner.keyword_map.slot(key.as_bytes());
+        self.inner.slot_owner.write().remove(&slot);
+        for (i, (_, engine)) in self.inner.engines.iter().enumerate() {
+            if let Err(err) = engine.unpublish(key.as_bytes()) {
+                let mut failure = ZltpError::from(err);
+                for (_, removed) in &self.inner.engines[..i] {
+                    if let Err(e) = removed.publish(key.as_bytes(), &blob) {
+                        // The publisher must learn the modes now differ.
+                        failure = ZltpError::Engine(format!(
+                            "{failure}; restoring the blob in {} also failed: {e}",
+                            removed.name()
+                        ));
+                    }
+                }
+                self.inner
+                    .slot_owner
+                    .write()
+                    .insert(slot, key.as_bytes().to_vec());
+                self.inner
+                    .master
+                    .write()
+                    .insert(key.as_bytes().to_vec(), blob);
+                return Err(failure);
             }
         }
-        Ok(existed)
+        Ok(true)
     }
 
     /// Whether `key` is published.
@@ -412,40 +458,49 @@ impl ZltpServer {
         let spawned = std::thread::Builder::new()
             .name("zltp-batcher".into())
             .spawn(move || {
+                let registry = lightweb_telemetry::registry();
+                let depth_gauge = registry.gauge("zltp.server.batch.queue.depth");
+                let wait_hist = registry.histogram("zltp.server.batch.wait.ns");
+                let size_hist = registry.histogram("zltp.server.batch.size");
+                // Break-even linger: waiting for company can save at most
+                // one pass, so never wait longer than a pass takes. Nothing
+                // has been measured before the first pass, which therefore
+                // takes only what is already queued.
+                let mut last_pass = Duration::ZERO;
                 while let Ok(first) = rx.recv() {
                     let Some(core) = inner.upgrade() else { break };
                     // Depth of the queue behind the job we just picked up:
                     // how far the batcher is lagging arrivals.
-                    lightweb_telemetry::registry()
-                        .gauge("zltp.server.batch.queue.depth")
-                        .set(rx.len() as i64);
+                    depth_gauge.set(rx.len() as i64);
                     let mut jobs = vec![first];
-                    let deadline = Instant::now() + core.config.batch.window;
+                    let deadline = Instant::now() + core.config.batch.window.min(last_pass);
                     while jobs.len() < core.config.batch.max_batch {
+                        // Jobs already queued are taken even past the
+                        // deadline; only an empty queue ends the linger.
                         match rx.recv_deadline(deadline) {
                             Ok(job) => jobs.push(job),
                             Err(_) => break,
                         }
                     }
                     let picked_up = Instant::now();
-                    let wait_hist =
-                        lightweb_telemetry::registry().histogram("zltp.server.batch.wait.ns");
+                    let occupancy = jobs.len() as u64;
                     let mut wait_ns = 0u64;
-                    for job in &jobs {
+                    let mut queries = Vec::with_capacity(jobs.len());
+                    let mut ctxs = Vec::with_capacity(jobs.len());
+                    let mut completions = Vec::with_capacity(jobs.len());
+                    for job in jobs {
                         let w = picked_up.duration_since(job.enqueued_at).as_nanos() as u64;
                         wait_ns += w;
                         wait_hist.record(w);
                         if let Some(ctx) = &job.ctx {
                             record_span(ctx, "zltp.server.batch.wait", job.enqueued_at, picked_up);
                         }
+                        queries.push(job.query);
+                        ctxs.push(job.ctx);
+                        completions.push(job.complete);
                     }
-                    lightweb_telemetry::registry()
-                        .histogram("zltp.server.batch.size")
-                        .record(jobs.len() as u64);
+                    size_hist.record(occupancy);
                     lightweb_telemetry::counter!("zltp.server.batches").inc();
-                    let queries: Vec<PreparedQuery> =
-                        jobs.iter().map(|j| j.query.clone()).collect();
-                    let ctxs: Vec<Option<TraceContext>> = jobs.iter().map(|j| j.ctx).collect();
                     let result = {
                         // The batcher thread's CPU burn (the shared scan)
                         // otherwise escapes phase attribution: the wait
@@ -461,25 +516,26 @@ impl ZltpServer {
                             })
                             .and_then(|engine| engine.answer_batch(&queries, &ctxs))
                     };
+                    last_pass = picked_up.elapsed();
                     core.stats.batches.fetch_add(1, Ordering::Relaxed);
                     core.stats
                         .batched_requests
-                        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+                        .fetch_add(occupancy, Ordering::Relaxed);
                     core.stats
                         .batch_wait_ns
                         .fetch_add(wait_ns, Ordering::Relaxed);
                     core.stats
                         .max_batch_occupancy
-                        .fetch_max(jobs.len() as u64, Ordering::Relaxed);
+                        .fetch_max(occupancy, Ordering::Relaxed);
                     match result {
                         Ok(answers) => {
-                            for (job, ans) in jobs.into_iter().zip(answers) {
-                                (job.complete)(Ok(ans));
+                            for (complete, ans) in completions.into_iter().zip(answers) {
+                                complete(Ok(ans));
                             }
                         }
                         Err(e) => {
-                            for job in jobs {
-                                (job.complete)(Err(e.to_string()));
+                            for complete in completions {
+                                complete(Err(e.to_string()));
                             }
                         }
                     }
@@ -978,6 +1034,242 @@ mod tests {
             lwe.private_get(&present).unwrap(),
             Some(blob(last).to_vec())
         );
+    }
+
+    /// A stand-in engine: each pass reports its batch size on `started`
+    /// and then runs for as long as the test withholds `go`, so a test
+    /// decides when jobs arrive relative to a pass and how long it took.
+    struct StubEngine {
+        started: Sender<usize>,
+        go: Receiver<()>,
+        fail_unpublish: bool,
+    }
+
+    impl QueryEngine for StubEngine {
+        fn name(&self) -> &'static str {
+            "stub"
+        }
+        fn request_metric(&self) -> &'static str {
+            "zltp.server.request.stub.ns"
+        }
+        fn prepare(&self, payload: &[u8]) -> Result<PreparedQuery, lightweb_engine::EngineError> {
+            Ok(PreparedQuery::Keyword(payload.to_vec()))
+        }
+        fn answer_batch(
+            &self,
+            queries: &[PreparedQuery],
+            _ctxs: &[Option<TraceContext>],
+        ) -> Result<Vec<Vec<u8>>, lightweb_engine::EngineError> {
+            let _ = self.started.send(queries.len());
+            let _ = self.go.recv();
+            Ok(queries
+                .iter()
+                .map(|q| match q {
+                    PreparedQuery::Keyword(k) => k.clone(),
+                    _ => Vec::new(),
+                })
+                .collect())
+        }
+        fn publish(&self, _: &[u8], _: &[u8]) -> Result<(), lightweb_engine::EngineError> {
+            Ok(())
+        }
+        fn unpublish(&self, _: &[u8]) -> Result<(), lightweb_engine::EngineError> {
+            if self.fail_unpublish {
+                return Err(lightweb_engine::EngineError::Backend("stub refuses".into()));
+            }
+            Ok(())
+        }
+        fn rebuild(&self, _: &[(Vec<u8>, Vec<u8>)]) -> Result<(), lightweb_engine::EngineError> {
+            Ok(())
+        }
+        fn session_extra(&self) -> Result<Vec<u8>, lightweb_engine::EngineError> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A batching server over a [`StubEngine`], with the stub's two
+    /// channel ends and a channel every GET's answer arrives on.
+    struct StubServer {
+        server: ZltpServer,
+        started: Receiver<usize>,
+        go: Sender<()>,
+        answers_tx: Sender<Result<Vec<u8>, String>>,
+        answers: Receiver<Result<Vec<u8>, String>>,
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    impl StubServer {
+        fn new(window: Duration) -> Self {
+            let (started_tx, started) = unbounded();
+            let (go, go_rx) = unbounded();
+            let (answers_tx, answers) = unbounded();
+            let mut config = ServerConfig::small("stub", 0);
+            config.modes = ModeSet::new([Mode::TwoServerPir]);
+            config.batch = crate::config::BatchConfig {
+                max_batch: 16,
+                window,
+            };
+            let stub = StubEngine {
+                started: started_tx,
+                go: go_rx,
+                fail_unpublish: false,
+            };
+            let server =
+                ZltpServer::with_engines(config, vec![(Mode::TwoServerPir, Box::new(stub))]);
+            Self {
+                server,
+                started,
+                go,
+                answers_tx,
+                answers,
+            }
+        }
+
+        fn get(&self, tag: u8) {
+            let tx = self.answers_tx.clone();
+            let complete: Completion = Box::new(move |res| {
+                let _ = tx.send(res);
+            });
+            let submitted = self
+                .server
+                .submit_get(Mode::TwoServerPir, &[tag], None, complete);
+            assert!(matches!(submitted, Submitted::Dispatched));
+        }
+
+        fn pass_started(&self) -> usize {
+            self.started.recv_timeout(PATIENCE).expect("no pass began")
+        }
+
+        fn answer(&self) -> Vec<u8> {
+            let answer = self.answers.recv_timeout(PATIENCE).expect("a GET was lost");
+            answer.expect("the pass failed")
+        }
+    }
+
+    #[test]
+    fn a_lone_get_on_an_idle_server_does_not_wait_out_the_window() {
+        let window = Duration::from_millis(200);
+        let stub = StubServer::new(window);
+        for tag in 0..3u8 {
+            stub.go.send(()).unwrap();
+            let asked = Instant::now();
+            stub.get(tag);
+            assert_eq!(stub.answer(), vec![tag]);
+            assert!(asked.elapsed() < window / 2, "{:?}", asked.elapsed());
+        }
+        let stats = stub.server.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (3, 3));
+        assert!(Duration::from_nanos(stats.batch_wait_ns) < window / 2);
+    }
+
+    #[test]
+    fn gets_that_arrive_during_a_pass_share_the_next_one() {
+        let stub = StubServer::new(Duration::from_millis(200));
+        stub.get(0);
+        assert_eq!(stub.pass_started(), 1);
+        // The first pass is running and stays running until `go`.
+        for tag in 1..=3u8 {
+            stub.get(tag);
+        }
+        stub.go.send(()).unwrap();
+        assert_eq!(stub.answer(), vec![0]);
+        assert_eq!(stub.pass_started(), 3);
+        stub.go.send(()).unwrap();
+        for tag in 1..=3u8 {
+            assert_eq!(stub.answer(), vec![tag]);
+        }
+        let stats = stub.server.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (2, 4));
+        assert_eq!(stats.max_batch_occupancy, 3);
+    }
+
+    #[test]
+    fn the_linger_is_capped_by_the_window_even_after_a_long_pass() {
+        let window = Duration::from_millis(30);
+        let long_pass = Duration::from_millis(400);
+        let stub = StubServer::new(window);
+        stub.get(0);
+        assert_eq!(stub.pass_started(), 1);
+        std::thread::sleep(long_pass);
+        stub.go.send(()).unwrap();
+        assert_eq!(stub.answer(), vec![0]);
+        // Now `last_pass >= long_pass`: a lone GET lingers for company —
+        // for the window, not for the 400 ms the pass took.
+        let asked = Instant::now();
+        stub.get(1);
+        assert_eq!(stub.pass_started(), 1);
+        let lingered = asked.elapsed();
+        assert!(lingered >= window, "did not linger: {lingered:?}");
+        assert!(
+            lingered < long_pass,
+            "lingered past the window: {lingered:?}"
+        );
+        stub.go.send(()).unwrap();
+        assert_eq!(stub.answer(), vec![1]);
+    }
+
+    #[test]
+    fn shutdown_while_lingering_completes_every_job() {
+        let long_pass = Duration::from_millis(300);
+        let stub = StubServer::new(Duration::from_secs(3600));
+        stub.get(0);
+        assert_eq!(stub.pass_started(), 1);
+        std::thread::sleep(long_pass);
+        stub.go.send(()).unwrap();
+        assert_eq!(stub.answer(), vec![0]);
+        // The batcher now lingers up to `long_pass` over these two.
+        stub.get(1);
+        stub.get(2);
+        stub.server.shutdown();
+        stub.go.send(()).unwrap();
+        assert_eq!(stub.pass_started(), 2);
+        assert_eq!(stub.answer(), vec![1]);
+        assert_eq!(stub.answer(), vec![2]);
+    }
+
+    #[test]
+    fn unpublish_refused_by_one_engine_changes_nothing_in_any_mode() {
+        use crate::client::{LweClientSession, TwoServerZltp};
+
+        let servers: Vec<InProcServer> = (0..2u8)
+            .map(|party| {
+                let mut cfg = ServerConfig::small("sticky", party);
+                cfg.blob_len = 16;
+                cfg.modes = ModeSet::new([Mode::TwoServerPir, Mode::SingleServerLwe]);
+                let mut engines = ZltpServer::build_engines(&cfg).unwrap();
+                // Last in line: both real engines have dropped the blob by
+                // the time this one refuses.
+                let (started, _) = unbounded();
+                let (_, go) = unbounded();
+                engines.push((
+                    Mode::Enclave,
+                    Box::new(StubEngine {
+                        started,
+                        go,
+                        fail_unpublish: true,
+                    }),
+                ));
+                InProcServer::new(ZltpServer::with_engines(cfg, engines))
+            })
+            .collect();
+        for s in &servers {
+            s.server().publish("a.com/keep", &[7; 16]).unwrap();
+            let err = s.server().unpublish("a.com/keep").unwrap_err();
+            assert!(err.to_string().contains("stub refuses"), "{err}");
+            assert!(s.server().contains("a.com/keep"));
+            let inner = &s.server().inner;
+            let slot = inner.keyword_map.slot(b"a.com/keep");
+            assert_eq!(
+                inner.slot_owner.read().get(&slot).map(Vec::as_slice),
+                Some(&b"a.com/keep"[..])
+            );
+            assert!(!s.server().unpublish("a.com/never").unwrap());
+        }
+        let mut pir = TwoServerZltp::connect(servers[0].connect(), servers[1].connect()).unwrap();
+        assert_eq!(pir.private_get("a.com/keep").unwrap(), vec![7; 16]);
+        let mut lwe = LweClientSession::connect(servers[0].connect()).unwrap();
+        assert_eq!(lwe.private_get("a.com/keep").unwrap(), Some(vec![7; 16]));
     }
 
     #[test]

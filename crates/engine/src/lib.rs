@@ -7,10 +7,10 @@
 //! backends, so the core server routes requests through `Box<dyn
 //! QueryEngine>` instead of hand-rolled per-mode branches.
 //!
-//! It also owns the [`ScanPool`] — a scoped-thread pool that partitions the
-//! record range so the DPF full-domain evaluation and the linear XOR scan
-//! (the two halves of per-request server compute, §5.1) run across cores,
-//! and the §5.2 sharded deployment, which reuses the same pool.
+//! It also owns the [`ScanPool`] — a pool of parked workers that partitions
+//! the record range so the DPF full-domain evaluation and the linear XOR
+//! scan (the two halves of per-request server compute, §5.1) run across
+//! cores, and the §5.2 sharded deployment, which reuses the same pool.
 #![warn(missing_docs)]
 
 pub mod error;

@@ -9,25 +9,199 @@
 //! monolithic scan, the batched scan, and the per-shard scans of a sharded
 //! deployment all run through the same pool.
 //!
-//! Threads are scoped (crossbeam), spawned per call: the pool holds no
-//! persistent workers, so a pool is free until used and `threads == 1`
-//! degenerates to an inline call on the caller's thread with no spawn at
-//! all — which is what the `LIGHTWEB_SCAN_THREADS=1` CI matrix leg pins.
+//! ## Workers
+//!
+//! A pass spawns no thread. A pool of `threads` owns `threads - 1` workers
+//! that already exist: they start on the first call that has more than one
+//! chunk (a pool is free until used), park on a condition variable between
+//! calls, and are joined when the last clone of the pool drops — so
+//! building and dropping servers leaks nothing. A call publishes one job —
+//! a chunk count and a claim counter — and then claims chunks itself;
+//! workers claim the rest. The caller therefore always makes progress: if
+//! every worker is busy with another caller's job (two engines sharing a
+//! pool), or could not be started, the caller runs every chunk itself, and
+//! a call from inside a chunk cannot deadlock. `threads == 1` (or one
+//! chunk) is an inline call on the caller's thread that touches none of
+//! this — which is what the `LIGHTWEB_SCAN_THREADS=1` CI matrix leg pins.
+//!
+//! A chunk that panics does not take the pool down: the panic is caught
+//! where it ran, the call still waits for every other chunk, and the
+//! caller re-raises it.
+//!
+//! ## The one `unsafe`
+//!
+//! Chunks borrow the caller's stack: the record store behind its read
+//! guard, the evaluated bit matrix, disjoint `&mut` slices of the output
+//! row. Threads that outlive the call can only be handed `'static` work,
+//! and there is no safe way to say "this borrow ends before `run_chunks`
+//! returns" to a thread that already exists — `std::thread::scope` can say
+//! it only because it spawns (and joins) the threads itself, which is the
+//! cost this module removes, and owning the data instead (`Arc`) would
+//! mean copying a shard per pass. So `run_chunks` erases the lifetime of
+//! the chunk closure once, and upholds by hand what the scope upheld: it
+//! does not return, normally or by unwinding, until every chunk has
+//! finished, and no thread touches the closure after that. The argument is
+//! spelled out at the `transmute`.
 
 use lightweb_dpf::{BitMatrix, DpfKey};
 use lightweb_pir::{PirError, PirServer};
 use lightweb_telemetry::trace::{maybe_child, TraceContext};
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 
 /// Environment variable overriding the worker count when a config leaves
 /// `scan_threads` at 0 (auto).
 pub const SCAN_THREADS_ENV: &str = "LIGHTWEB_SCAN_THREADS";
 
-/// A sizing policy plus the scoped-thread fan-out/fan-in machinery shared
-/// by every scan-shaped workload.
-#[derive(Clone, Copy, Debug)]
-pub struct ScanPool {
+/// Lock a mutex whose critical sections run no caller code: a poisoned
+/// state cannot be half-updated, so recover the guard.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One call's work: `chunks` indices, each run exactly once by whichever
+/// thread claims it.
+struct Job {
+    /// The chunk closure with its lifetime erased; see `run_chunks`.
+    run: &'static (dyn Fn(usize) + Sync),
+    chunks: usize,
+    /// Next unclaimed chunk. `Relaxed`: the counter hands out indices and
+    /// publishes nothing else — the job reaches workers through the queue
+    /// mutex, and chunk results reach the caller through `progress`.
+    next: AtomicUsize,
+    progress: Mutex<Progress>,
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct Progress {
+    finished: usize,
+    /// The first panic a chunk raised, for the caller to re-raise.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Job {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.chunks
+    }
+
+    /// Claim and run chunks until none is left unclaimed. Never unwinds.
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.chunks {
+                return;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| (self.run)(i)));
+            let mut progress = lock(&self.progress);
+            progress.finished += 1;
+            if let Err(panic) = outcome {
+                progress.panic.get_or_insert(panic);
+            }
+            if progress.finished == self.chunks {
+                self.finished.notify_all();
+            }
+        }
+    }
+
+    /// Block until every chunk has finished; returns a chunk's panic.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut progress = lock(&self.progress);
+        while progress.finished < self.chunks {
+            progress = self
+                .finished
+                .wait(progress)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        progress.panic.take()
+    }
+}
+
+#[derive(Default)]
+struct Queue {
+    /// Jobs with a caller inside `run_chunks`, oldest first. Only that
+    /// caller pushes and removes its job; workers just read.
+    jobs: VecDeque<Arc<Job>>,
+    closed: bool,
+}
+
+/// What the workers share with the pool's handles.
+#[derive(Default)]
+struct Shared {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+}
+
+fn worker_loop(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
+    loop {
+        if let Some(job) = queue.jobs.iter().find(|j| !j.exhausted()).cloned() {
+            drop(queue);
+            job.work();
+            queue = lock(&shared.queue);
+        } else if queue.closed {
+            return;
+        } else {
+            queue = shared.wake.wait(queue).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+struct Inner {
     threads: usize,
+    shared: Arc<Shared>,
+    /// The `threads - 1` workers, started by the first multi-chunk call.
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+}
+
+impl Inner {
+    fn start_workers(&self) {
+        self.workers.get_or_init(|| {
+            (1..self.threads)
+                .filter_map(|i| {
+                    let shared = self.shared.clone();
+                    // A worker that cannot be spawned is not fatal: callers
+                    // claim whatever chunks no worker takes.
+                    std::thread::Builder::new()
+                        .name(format!("scan-pool-{i}"))
+                        .spawn(move || worker_loop(&shared))
+                        .ok()
+                })
+                .collect()
+        });
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        lock(&self.shared.queue).closed = true;
+        self.shared.wake.notify_all();
+        for handle in self.workers.take().into_iter().flatten() {
+            // A worker catches every chunk panic, so a failed join has
+            // nothing to report that the caller did not already see.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A sizing policy plus the fan-out/fan-in machinery shared by every
+/// scan-shaped workload. Clones share one set of workers.
+#[derive(Clone)]
+pub struct ScanPool {
+    inner: Arc<Inner>,
+}
+
+impl std::fmt::Debug for ScanPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScanPool")
+            .field("threads", &self.inner.threads)
+            .finish()
+    }
 }
 
 impl ScanPool {
@@ -51,12 +225,69 @@ impl ScanPool {
         lightweb_telemetry::registry()
             .gauge("engine.scan_pool.threads")
             .set(resolved as i64);
-        Self { threads: resolved }
+        Self {
+            inner: Arc::new(Inner {
+                threads: resolved,
+                shared: Arc::default(),
+                workers: OnceLock::new(),
+            }),
+        }
     }
 
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.inner.threads
+    }
+
+    /// Run `f(0)`, …, `f(chunks - 1)`, each exactly once, on the caller
+    /// and the pool's workers; returns when all have finished. A panic in
+    /// a chunk is re-raised here after the others are done.
+    fn run_chunks(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
+        if chunks <= 1 || self.inner.threads <= 1 {
+            (0..chunks).for_each(f);
+            return;
+        }
+        self.inner.start_workers();
+        let shared = &self.inner.shared;
+        // SAFETY: the transmute only lengthens the borrow of `f` (and of
+        // what `f` captures) to `'static`; layout is unchanged. It is
+        // sound because nothing dereferences `job.run` once this function
+        // has returned or unwound:
+        // * `run` is only called in `Job::work`, for a claimed index
+        //   `i < chunks`, and that claim is counted in
+        //   `progress.finished` only after the call has returned (or its
+        //   panic was caught). Every index below `chunks` is claimed
+        //   exactly once (`fetch_add`), so `finished == chunks` means
+        //   every call of `run` that will ever happen has ended.
+        // * After the job is queued, this function leaves only through
+        //   `job.wait()`, which returns once `finished == chunks`.
+        //   `work` catches chunk panics, `lock` ignores poisoning and the
+        //   condition variable is used with one mutex, so nothing between
+        //   the push and the wait can unwind.
+        // * Workers may still hold the `Arc<Job>` afterwards; they touch
+        //   its counters (owned by the `Arc`), find it exhausted, and
+        //   drop it without calling `run`.
+        // `F: Sync` makes sharing `&F` across the workers sound, and the
+        // results `f` writes are published to this thread by the
+        // `progress` mutex.
+        let run = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
+        };
+        let job = Arc::new(Job {
+            run,
+            chunks,
+            next: AtomicUsize::new(0),
+            progress: Mutex::default(),
+            finished: Condvar::new(),
+        });
+        lock(&shared.queue).jobs.push_back(job.clone());
+        shared.wake.notify_all();
+        job.work();
+        let panic = job.wait();
+        lock(&shared.queue).jobs.retain(|j| !Arc::ptr_eq(j, &job));
+        if let Some(panic) = panic {
+            resume_unwind(panic);
+        }
     }
 
     /// Split `0..n` into at most `threads` contiguous chunks and run `f`
@@ -68,26 +299,24 @@ impl ScanPool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let workers = self.threads.min(n).max(1);
+        let workers = self.inner.threads.min(n).max(1);
         if workers <= 1 {
             return vec![f(0..n)];
         }
         let chunk = n.div_ceil(workers);
-        let ranges: Vec<Range<usize>> = (0..workers)
-            .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
-            .collect();
-        let f = &f;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| scope.spawn(move |_| f(r)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan pool worker"))
-                .collect()
-        })
-        .expect("scan pool scope")
+        let results: Vec<Mutex<Option<R>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+        self.run_chunks(workers, &|w| {
+            let range = (w * chunk).min(n)..((w + 1) * chunk).min(n);
+            *lock(&results[w]) = Some(f(range));
+        });
+        results
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("run_chunks ran every chunk")
+            })
+            .collect()
     }
 
     /// Full-domain DPF evaluation, parallelized by splitting the tree at a
@@ -123,38 +352,39 @@ impl ScanPool {
         // (b) stays above the terminal levels, (c) keeps every shard's
         // output byte-aligned.
         let mut prefix_bits = 0u32;
-        while (1usize << (prefix_bits + 1)) <= self.threads
+        while (1usize << (prefix_bits + 1)) <= self.inner.threads
             && prefix_bits + 1 < params.tree_depth()
             && params.domain_bits() - (prefix_bits + 1) >= 3
         {
             prefix_bits += 1;
         }
-        if self.threads <= 1 || prefix_bits == 0 {
+        if self.inner.threads <= 1 || prefix_bits == 0 {
             key.eval_full_into(out);
             return;
         }
         let nodes = key.eval_prefix(prefix_bits);
         let shard_key = key.shard_key(prefix_bits);
         let sub_len = shard_key.shard_output_len();
-        let workers = self.threads.min(nodes.len()).max(1);
+        let workers = self.inner.threads.min(nodes.len()).max(1);
         let chunk = nodes.len().div_ceil(workers);
-        let shard_key = &shard_key;
-        crossbeam::thread::scope(|scope| {
-            for (node_run, out_run) in nodes.chunks(chunk).zip(out.chunks_mut(chunk * sub_len)) {
-                scope.spawn(move |_| {
-                    let _part = maybe_child(ctx, "engine.pool.partition");
-                    // Workers run on scoped threads with empty profile
-                    // stacks, so an explicit scope is the only thing
-                    // attributing their CPU when the request is untraced.
-                    let _prof =
-                        lightweb_telemetry::profile::Scope::enter("engine.pool.eval.worker");
-                    for (node, sub_out) in node_run.iter().zip(out_run.chunks_mut(sub_len)) {
-                        shard_key.eval(node, sub_out);
-                    }
-                });
+        // Each chunk takes its own (sub-tree run, output run) pair, so the
+        // `&mut` slices stay disjoint without the chunks sharing `out`.
+        let runs: Vec<_> = nodes
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk * sub_len))
+            .map(|run| Mutex::new(Some(run)))
+            .collect();
+        self.run_chunks(runs.len(), &|w| {
+            let (node_run, out_run) = lock(&runs[w]).take().expect("each chunk runs once");
+            let _part = maybe_child(ctx, "engine.pool.partition");
+            // Pool workers have empty profile stacks, so an explicit scope
+            // is the only thing attributing their CPU when the request is
+            // untraced.
+            let _prof = lightweb_telemetry::profile::Scope::enter("engine.pool.eval.worker");
+            for (node, sub_out) in node_run.iter().zip(out_run.chunks_mut(sub_len)) {
+                shard_key.eval(node, sub_out);
             }
-        })
-        .expect("eval pool scope");
+        });
     }
 
     /// Parallel XOR scan: partition the record range, scan chunks on the
@@ -406,6 +636,71 @@ mod tests {
             pool.scan_batch(&server, &[short]).unwrap_err(),
             PirError::ParamsMismatch
         );
+    }
+
+    #[test]
+    fn two_callers_share_one_pool() {
+        let params = DpfParams::new(11, 2).unwrap();
+        let server = sample_server(params, 120, 32);
+        let pool = ScanPool::new(4);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for slot in [42u64, 1700] {
+                let (pool, server, start) = (pool.clone(), &server, &start);
+                s.spawn(move || {
+                    let (k0, _) = gen(&params, slot);
+                    let bits = k0.eval_full();
+                    let serial = server.scan(&bits).unwrap();
+                    start.wait();
+                    for _ in 0..200 {
+                        assert_eq!(pool.eval_full(&k0), bits);
+                        assert_eq!(pool.scan(server, &bits).unwrap(), serial);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_chunk_reaches_the_caller_and_the_pool_keeps_working() {
+        let pool = ScanPool::new(4);
+        for bad in 0..4usize {
+            let hit = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.map_ranges(4, |r| {
+                    assert_ne!(r.start, bad, "chunk {bad} fails");
+                    r.start
+                })
+            }));
+            let panic = hit.expect_err("the chunk's panic was swallowed");
+            let text = panic.downcast_ref::<String>().expect("assert message");
+            assert!(text.contains(&format!("chunk {bad} fails")), "{text}");
+            assert_eq!(pool.map_ranges(4, |r| r.start), vec![0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn workers_start_on_first_use_and_end_with_the_pool() {
+        let pool = ScanPool::new(4);
+        let shared = pool.inner.shared.clone();
+        // Handles on `shared`: the pool's, this test's, one per worker.
+        assert_eq!(Arc::strong_count(&shared), 2, "a pool is free until used");
+        assert_eq!(pool.map_ranges(1, |r| r.len()), vec![1]);
+        assert_eq!(Arc::strong_count(&shared), 2, "one chunk runs inline");
+        let engine_copy = pool.clone();
+        for _ in 0..3 {
+            pool.map_ranges(64, |r| r.len());
+            engine_copy.map_ranges(64, |r| r.len());
+        }
+        assert_eq!(Arc::strong_count(&shared), 2 + 3, "threads - 1 workers");
+        drop(pool);
+        assert_eq!(Arc::strong_count(&shared), 2 + 3, "a clone is still alive");
+        drop(engine_copy);
+        assert_eq!(Arc::strong_count(&shared), 1, "a worker outlived its pool");
+
+        let single = ScanPool::new(1);
+        let shared = single.inner.shared.clone();
+        single.map_ranges(64, |r| r.len());
+        assert_eq!(Arc::strong_count(&shared), 2, "one thread means no worker");
     }
 
     #[test]

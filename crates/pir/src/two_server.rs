@@ -127,19 +127,33 @@ impl PirServer {
         Ok(server)
     }
 
-    fn insert_sorted(&mut self, slot: u64, record: &[u8]) -> Result<(), PirError> {
-        if slot >= self.params.domain_size() {
+    /// What [`PirServer::upsert`] checks before it writes, for a caller
+    /// that must refuse a bad entry now but applies the write later: the
+    /// slot lies inside the DPF domain and the record has the database's
+    /// fixed length.
+    pub fn check_entry(
+        params: DpfParams,
+        record_len: usize,
+        slot: u64,
+        record: &[u8],
+    ) -> Result<(), PirError> {
+        if slot >= params.domain_size() {
             return Err(PirError::SlotOutOfRange {
                 slot,
-                domain: self.params.domain_size(),
+                domain: params.domain_size(),
             });
         }
-        if record.len() != self.record_len {
+        if record.len() != record_len {
             return Err(PirError::RecordLen {
-                expected: self.record_len,
+                expected: record_len,
                 got: record.len(),
             });
         }
+        Ok(())
+    }
+
+    fn insert_sorted(&mut self, slot: u64, record: &[u8]) -> Result<(), PirError> {
+        Self::check_entry(self.params, self.record_len, slot, record)?;
         self.slots.push(slot);
         let at = self.data.len();
         self.data.insert_zeroed(at, self.stride);
@@ -149,18 +163,7 @@ impl PirServer {
 
     /// Insert or replace the record at `slot`.
     pub fn upsert(&mut self, slot: u64, record: &[u8]) -> Result<(), PirError> {
-        if slot >= self.params.domain_size() {
-            return Err(PirError::SlotOutOfRange {
-                slot,
-                domain: self.params.domain_size(),
-            });
-        }
-        if record.len() != self.record_len {
-            return Err(PirError::RecordLen {
-                expected: self.record_len,
-                got: record.len(),
-            });
-        }
+        Self::check_entry(self.params, self.record_len, slot, record)?;
         match self.slots.binary_search(&slot) {
             Ok(i) => {
                 let at = i * self.stride;

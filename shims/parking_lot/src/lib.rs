@@ -100,6 +100,15 @@ impl<T: ?Sized> RwLock<T> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Attempt to acquire the write guard without blocking.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.inner.try_write() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
@@ -139,6 +148,16 @@ mod tests {
         drop((a, b));
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
+    }
+
+    #[test]
+    fn try_write_yields_to_a_reader() {
+        let l = RwLock::new(0u32);
+        let reader = l.read();
+        assert!(l.try_write().is_none());
+        drop(reader);
+        *l.try_write().expect("lock is free") += 1;
+        assert_eq!(*l.read(), 1);
     }
 
     #[test]
